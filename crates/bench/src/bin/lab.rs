@@ -18,11 +18,12 @@
 //! `exp_*` binaries read and write when run with `BVL_LAB_DIR` set, so a
 //! store warmed by `lab run` accelerates them and vice versa — the grids
 //! (and therefore the cache keys) are shared via `bvl_bench::scn`, which
-//! compiles the checked-in `scenarios/*.scn` documents.
+//! compiles the checked-in `scenarios/*.scn` documents. An argument no
+//! subcommand takes prints the usage and exits 2.
 
 use bvl_bench::{labexp, print_table, scn};
 use bvl_lab::jsonio::Cursor;
-use bvl_lab::{serve, shard_count_of, CodeFingerprint, OnStale, Service, ShardedStore};
+use bvl_lab::{serve, CodeFingerprint, OnStale, Service, Store};
 use bvl_obs::Registry;
 use bvl_scenario::grid_digest;
 use std::path::{Path, PathBuf};
@@ -46,8 +47,8 @@ fn usage() -> ! {
          lab gc [--dir D]                        compact the store\n\
          lab serve [--addr A] [--workers N] [--dir D]\n\
          \n\
-         store-touching subcommands also take --store-shards N (default:\n\
-         whatever the store records; 1 for a fresh flat store)\n\
+         any subcommand also takes the engine flags --shards N and\n\
+         --obs-tier T, which the experiment cells read\n\
          \n\
          experiments: {}",
         labexp::experiments()
@@ -87,30 +88,23 @@ fn store_dir(args: &mut Vec<String>) -> PathBuf {
         .into()
 }
 
-/// Shard count for a store-touching subcommand: `--store-shards N` wins
-/// (a fresh directory is created with that many shards; an existing one
-/// must already match), otherwise whatever the directory records.
-fn store_shards(args: &mut Vec<String>, dir: &Path) -> usize {
-    if let Some(n) = take_flag(args, "--store-shards") {
-        match n.parse() {
-            Ok(n) if n >= 1 => return n,
-            _ => {
-                eprintln!("lab: --store-shards wants a positive integer, got {n}");
-                exit(2);
-            }
-        }
-    }
-    match shard_count_of(dir) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("lab: bad shard manifest in {}: {e}", dir.display());
-            exit(2);
+/// Exit with the usage when arguments are left over once a subcommand
+/// has taken its own. The engine flags `--shards` and `--obs-tier` stay
+/// allowed: the experiment cells read them from the command line.
+fn no_leftovers(args: &[String]) {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--shards" || arg == "--obs-tier" {
+            it.next();
+        } else if !(arg.starts_with("--shards=") || arg.starts_with("--obs-tier=")) {
+            eprintln!("lab: unexpected argument '{arg}'");
+            usage();
         }
     }
 }
 
-fn open(dir: &Path, shards: usize, on_stale: OnStale) -> ShardedStore {
-    match ShardedStore::open(dir, shards, CodeFingerprint::current(), on_stale) {
+fn open(dir: &Path, on_stale: OnStale) -> Store {
+    match Store::open(dir, CodeFingerprint::current(), on_stale) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lab: cannot open store at {}: {e}", dir.display());
@@ -119,7 +113,7 @@ fn open(dir: &Path, shards: usize, on_stale: OnStale) -> ShardedStore {
     }
 }
 
-fn service(store: ShardedStore) -> Service {
+fn service(store: Store) -> Service {
     Service::new(store, Registry::enabled(1), labexp::experiments())
         .with_scenario_runner(Box::new(scn::Runner))
 }
@@ -356,8 +350,8 @@ fn main() {
                         exit(2);
                     }
                 };
-                let shards = store_shards(&mut args, &dir);
-                let svc = service(open(&dir, shards, OnStale::Invalidate));
+                no_leftovers(&args);
+                let svc = service(open(&dir, OnStale::Invalidate));
                 match svc
                     .run_scenario(&text, smoke, Some(bvl_obs::cli::obs_tier()))
                     .expect("scenario runner is registered")
@@ -387,8 +381,8 @@ fn main() {
                 usage();
             };
             args.remove(0);
-            let shards = store_shards(&mut args, &dir);
-            let svc = service(open(&dir, shards, OnStale::Invalidate));
+            no_leftovers(&args);
+            let svc = service(open(&dir, OnStale::Invalidate));
             let names: Vec<String> = if exp == "all" {
                 svc.names().iter().map(|n| n.to_string()).collect()
             } else {
@@ -422,6 +416,7 @@ fn main() {
             );
         }
         "validate" => {
+            no_leftovers(&args);
             // Prove the checked-in scenario documents against the legacy
             // code-defined grids: same documents as the reference
             // builders, and bit-identical compiled grids (exp, master,
@@ -466,10 +461,12 @@ fn main() {
             let Some(name) = args.first().cloned() else {
                 usage();
             };
+            no_leftovers(&args[1..]);
             print!("{}", scn::reference(&name).to_text());
         }
         "audit" => {
             let path = take_flag(&mut args, "--bench").unwrap_or_else(|| "BENCH_faults.json".into());
+            no_leftovers(&args);
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
                 Err(e) => {
@@ -549,11 +546,10 @@ fn main() {
         }
         "status" => {
             let dir = store_dir(&mut args);
-            let shards = store_shards(&mut args, &dir);
-            let store = open(&dir, shards, OnStale::Keep);
+            no_leftovers(&args);
+            let store = open(&dir, OnStale::Keep);
             println!("store: {}", dir.display());
             println!("code:  {}", store.code());
-            println!("shards: {}", store.shard_count());
             match store.stale() {
                 Some(writer) => println!("stale: written by {writer}"),
                 None => println!("stale: no"),
@@ -582,8 +578,8 @@ fn main() {
                 usage();
             };
             args.remove(0);
-            let shards = store_shards(&mut args, &dir);
-            let store = open(&dir, shards, OnStale::Keep);
+            no_leftovers(&args);
+            let store = open(&dir, OnStale::Keep);
             let rows: Vec<Vec<String>> = store
                 .cells_for(&exp)
                 .into_iter()
@@ -606,8 +602,8 @@ fn main() {
         }
         "diff" => {
             let dir = store_dir(&mut args);
-            let shards = store_shards(&mut args, &dir);
-            let store = open(&dir, shards, OnStale::Keep);
+            no_leftovers(&args);
+            let store = open(&dir, OnStale::Keep);
             match store.stale() {
                 Some(writer) => {
                     println!(
@@ -631,8 +627,8 @@ fn main() {
         }
         "gc" => {
             let dir = store_dir(&mut args);
-            let shards = store_shards(&mut args, &dir);
-            let store = open(&dir, shards, OnStale::Invalidate);
+            no_leftovers(&args);
+            let store = open(&dir, OnStale::Invalidate);
             match store.gc() {
                 Ok(rep) => println!(
                     "gc: {} live cell(s) compacted; removed {} segment(s), {} stale archive(s)",
@@ -650,8 +646,8 @@ fn main() {
                 .map(|w| w.parse().unwrap_or(4))
                 .unwrap_or(4);
             let dir = store_dir(&mut args);
-            let shards = store_shards(&mut args, &dir);
-            let svc = Arc::new(service(open(&dir, shards, OnStale::Invalidate)));
+            no_leftovers(&args);
+            let svc = Arc::new(service(open(&dir, OnStale::Invalidate)));
             match serve(&addr, svc, workers) {
                 Ok(server) => {
                     println!("lab: serving {} with {workers} worker(s)", server.addr());

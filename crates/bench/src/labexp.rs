@@ -28,8 +28,7 @@ use bvl_core::{
 };
 use bvl_exec::RunOptions;
 use bvl_lab::{
-    run_grid, CellSpec, CodeFingerprint, Experiment, GridReport, GridSpec, Job, OnStale,
-    ShardedStore,
+    run_grid, CellSpec, CodeFingerprint, Experiment, GridReport, GridSpec, Job, OnStale, Store,
 };
 use bvl_logp::{LogpConfig, LogpMachine, LogpParams, Op, Script};
 use bvl_model::{HRelation, Payload, ProcId};
@@ -42,7 +41,7 @@ use std::path::Path;
 /// identical — caching changes *when* a cell computes, never *what*.
 pub struct Lab {
     /// The store, when `BVL_LAB_DIR` selected one.
-    pub store: Option<ShardedStore>,
+    pub store: Option<Store>,
     /// Cache hit/miss counters and compute-latency histograms.
     pub registry: Registry,
 }
@@ -50,19 +49,9 @@ pub struct Lab {
 impl Lab {
     /// Build from the environment: `BVL_LAB_DIR=<dir>` opts into the
     /// store (created on first use; a store written by older code is
-    /// archived and recomputed), and `BVL_LAB_SHARDS=<n>` selects the
-    /// shard count when the directory is created (an existing directory
-    /// keeps whatever count it records). Unset or empty means uncached.
+    /// archived and recomputed). Unset or empty means uncached.
     pub fn from_env() -> Lab {
         Lab::from_dir(std::env::var("BVL_LAB_DIR").ok().filter(|d| !d.is_empty()))
-    }
-
-    /// The shard count requested by `BVL_LAB_SHARDS` (default 1).
-    pub fn shards_from_env() -> usize {
-        std::env::var("BVL_LAB_SHARDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1)
     }
 
     /// Build from an explicit directory; `None` means uncached. An
@@ -78,20 +67,9 @@ impl Lab {
             };
         };
         let dir = dir.as_ref();
-        let path = Path::new(dir);
-        // An existing store keeps its recorded shard count; a fresh one
-        // takes BVL_LAB_SHARDS.
-        let shards = bvl_lab::shard_count_of(path)
-            .ok()
-            .filter(|_| path.join("SHARDS.json").exists())
-            .unwrap_or_else(Lab::shards_from_env);
-        match ShardedStore::open(path, shards, CodeFingerprint::current(), OnStale::Invalidate) {
+        match Store::open(Path::new(dir), CodeFingerprint::current(), OnStale::Invalidate) {
             Ok(store) => {
-                eprintln!(
-                    "[lab] store {dir}: {} cached cells across {} shard(s)",
-                    store.len(),
-                    store.shard_count()
-                );
+                eprintln!("[lab] store {dir}: {} cached cells", store.len());
                 Lab {
                     store: Some(store),
                     registry: Registry::enabled(1),

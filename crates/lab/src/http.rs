@@ -27,7 +27,7 @@
 //!
 //! Routes:
 //!
-//! * `GET /status` — store + service counters (cells, segments, shards,
+//! * `GET /status` — store + service counters (cells, segments,
 //!   staleness, cache hits/misses, serve-latency histogram mean).
 //! * `GET /metrics` — the live metrics plane: a full counter snapshot,
 //!   histogram summaries, the scheduler's cache hit rate, and the serve
@@ -49,7 +49,7 @@
 use crate::epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::jsonio::{encode_rows, escape, Cursor};
 use crate::scheduler::{run_grid, CellSpec, GridReport, GridSpec, Job};
-use crate::shard::ShardedStore;
+use crate::store::Store;
 use bvl_obs::{Counter, Hist, Registry, Tier};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -116,7 +116,7 @@ pub trait ScenarioRunner: Send + Sync {
     fn run_scenario(
         &self,
         text: &str,
-        store: &ShardedStore,
+        store: &Store,
         registry: &Registry,
         smoke: bool,
         tier: Option<Tier>,
@@ -146,13 +146,12 @@ impl ServeStats {
     }
 }
 
-/// Shared state behind the front end: the sharded store, the service
-/// registry and the registered experiments. The store carries its own
-/// per-shard locks, so the service needs no outer mutex — concurrent
-/// grid runs contend only when they touch the same shard.
+/// Shared state behind the front end: the store, the service registry
+/// and the registered experiments. The store carries its own lock, so the
+/// service needs no outer mutex.
 pub struct Service {
-    /// The persistent result store (1..N digest-routed shards).
-    pub store: ShardedStore,
+    /// The persistent result store.
+    pub store: Store,
     /// Service metrics (cache hits/misses, serve latency).
     pub registry: Registry,
     /// Serve-loop lifecycle counters.
@@ -164,7 +163,7 @@ pub struct Service {
 impl Service {
     /// Bundle a store, a registry and the runnable experiments.
     pub fn new(
-        store: ShardedStore,
+        store: Store,
         registry: Registry,
         exps: Vec<Box<dyn Experiment>>,
     ) -> Service {
@@ -968,16 +967,14 @@ fn status_body(service: &Service) -> String {
         .collect();
     let serve = service.registry.histogram(Hist::ServeLatency);
     format!(
-        "{{\"code\":\"{}\",\"stale\":{},\"cells\":{},\"segments\":{segments},\
-         \"shards\":{},\"torn\":{},\
+        "{{\"code\":\"{}\",\"stale\":{},\"cells\":{},\"segments\":{segments},\"torn\":{},\
          \"experiments\":[{}],\"registered\":[{}],\"cache_hits\":{},\"cache_misses\":{},\
          \"serve_mean_us\":{:.0}}}",
         escape(store.code().as_str()),
         store
             .stale()
-            .map_or_else(|| "null".into(), |c| format!("\"{}\"", escape(&c))),
+            .map_or_else(|| "null".into(), |c| format!("\"{}\"", escape(c))),
         store.len(),
-        store.shard_count(),
         store.torn(),
         exps.join(","),
         service

@@ -5,30 +5,22 @@
 //! grid. `bvl-lab` turns those grids into a **re-queryable result
 //! database** — the shape in which experimental-methodology papers
 //! (Gerbessiotis–Siniolakis' BSP sorting study, Ezhova's BSF
-//! verification) present exactly this kind of parameter sweep — and the
-//! batching/caching/serving layer the ROADMAP's production north star
-//! needs.
+//! verification) present exactly this kind of parameter sweep — cached
+//! in one local store and served over HTTP.
 //!
-//! Three layers, one module each:
+//! Four layers, one module each:
 //!
 //! * [`fingerprint`] — stable content addresses: a cell is keyed by the
 //!   canonical run options, the domain point, the fault-plan line, and a
 //!   code fingerprint (public-API inventory + crate version), so results
 //!   survive restarts but never outlive the code that produced them.
-//! * [`store`] — the crash-safe persistent store: append-only JSONL
-//!   segments, in-memory index, atomic compaction, stale-generation
-//!   invalidation.
+//! * [`store`] — the crash-safe persistent store: one directory of
+//!   append-only JSONL segments, an in-memory index behind one lock,
+//!   atomic compaction, stale-generation invalidation.
 //! * [`scheduler`] — the incremental executor: partition a requested grid
 //!   into hits and misses, compute only the misses (rayon, with the same
 //!   per-`(domain, index)` seeding as `bvl_bench::sweep`, so warm and
 //!   cold runs are bit-identical), journal each completion for resume.
-//! * [`shard`] — the scale-out layer: [`shard::ShardedStore`] routes each
-//!   cell to one of N independent store shards by a pure function of its
-//!   content digest, so shard count never changes what a grid computes.
-//! * [`replica`] — op-log replication: a follower replays the leader's
-//!   segment logs byte-for-byte behind a `(segment, offset, records)`
-//!   cursor, repairs crash-torn tails, and proves itself bit-identical
-//!   via a content digest over the live cells.
 //! * [`http`] — the front end: a std-only nonblocking HTTP/1.1 JSON
 //!   endpoint (`GET /cells`, `GET /status`, `GET /metrics`, `POST /run`)
 //!   on an [`epoll`] event loop with a bounded worker pool for runs, plus
@@ -45,14 +37,10 @@ pub mod epoll;
 pub mod fingerprint;
 pub mod http;
 pub mod jsonio;
-pub mod replica;
 pub mod scheduler;
-pub mod shard;
 pub mod store;
 
 pub use fingerprint::{cell_key, CodeFingerprint, Digest};
 pub use http::{serve, Experiment, ScenarioError, ScenarioRunner, Server, Service};
-pub use replica::{dir_digest, repair_dir, store_digest, sync_store, ReplicaCursor, SyncReport};
 pub use scheduler::{run_grid, CellSpec, GridReport, GridSpec, Job};
-pub use shard::{shard_count_of, shard_of, ShardedStore};
 pub use store::{Cell, GcReport, OnStale, Store};

@@ -19,8 +19,7 @@
 //! passes an enabled registry.
 
 use crate::fingerprint::{cell_key, CodeFingerprint};
-use crate::shard::ShardedStore;
-use crate::store::Cell;
+use crate::store::{Cell, Store};
 use bvl_exec::RunOptions;
 use bvl_model::rngutil::SeedStream;
 use bvl_obs::{Counter, Hist, Registry};
@@ -201,12 +200,10 @@ impl GridReport {
 /// Execute `grid`, serving cached cells from `store` and computing the
 /// rest via `f` in parallel. Pass `None` for an uncached (pure) sweep —
 /// the execution and seeding paths are identical, so cached and uncached
-/// runs of the same grid produce bit-identical rows. The store may have
-/// any shard count: cell keys (and therefore rows) are shard-independent,
-/// so the same grid against a 1-, 2- or 4-shard store is bit-identical.
+/// runs of the same grid produce bit-identical rows.
 pub fn run_grid<F>(
     grid: &GridSpec,
-    store: Option<&ShardedStore>,
+    store: Option<&Store>,
     registry: &Registry,
     f: F,
 ) -> io::Result<GridReport>
@@ -302,7 +299,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{OnStale, Store};
+    use crate::store::OnStale;
     use rand::RngCore;
     use std::path::PathBuf;
 
@@ -342,7 +339,7 @@ mod tests {
     fn second_run_is_all_hits_with_identical_rows() {
         let dir = tmpdir("warm");
         let code = CodeFingerprint::from_parts("api", "0");
-        let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+        let store = Store::open(&dir, code, OnStale::Error).unwrap();
         let reg = Registry::enabled(1);
         let cold = run_grid(&grid(12), Some(&store), &reg, body).unwrap();
         assert_eq!((cold.hits, cold.misses), (0, 12));
@@ -360,7 +357,7 @@ mod tests {
     fn interrupted_grid_resumes_where_it_stopped() {
         let dir = tmpdir("resume");
         let code = CodeFingerprint::from_parts("api", "0");
-        let store = ShardedStore::open(&dir, 1, code.clone(), OnStale::Error).unwrap();
+        let store = Store::open(&dir, code.clone(), OnStale::Error).unwrap();
         let reg = Registry::disabled();
         // "Interrupted" run: only the first half of the grid was requested
         // before the process died.
@@ -369,7 +366,7 @@ mod tests {
         run_grid(&half, Some(&store), &reg, body).unwrap();
         drop(store);
         // Restart: reopen the store, request the full grid.
-        let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+        let store = Store::open(&dir, code, OnStale::Error).unwrap();
         let full = run_grid(&grid(16), Some(&store), &reg, body).unwrap();
         assert_eq!((full.hits, full.misses), (8, 8));
         // The resumed cells' streams are (domain, index)-derived, so the
@@ -383,7 +380,7 @@ mod tests {
     fn forced_cells_never_cache() {
         let dir = tmpdir("forced");
         let code = CodeFingerprint::from_parts("api", "0");
-        let store = ShardedStore::from_single(Store::open(&dir, code, OnStale::Error).unwrap());
+        let store = Store::open(&dir, code, OnStale::Error).unwrap();
         let reg = Registry::disabled();
         let g = GridSpec::new("forced-test", 1)
             .cell(CellSpec::new("dom", 0, "cached"))

@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// On-disk format version; bump when record or manifest shapes change.
 pub const FORMAT: u32 = 1;
@@ -150,23 +151,33 @@ pub struct GcReport {
 }
 
 /// The open store: an in-memory index over append-only JSONL segments.
+///
+/// Every method takes `&self`; the index and the append stream sit behind
+/// one internal `Mutex`, so the scheduler's parallel misses, the serve
+/// workers and the CLI share one handle without an outer lock.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     code: CodeFingerprint,
-    index: HashMap<String, Cell>,
     stale_code: Option<String>,
+    state: Mutex<State>,
+}
+
+/// The mutable part of a [`Store`].
+#[derive(Debug)]
+struct State {
+    index: HashMap<String, Cell>,
     writer: Option<BufWriter<File>>,
     next_segment: u32,
     segment_lines: usize,
     torn: usize,
 }
 
-pub(crate) fn segment_path(dir: &Path, id: u32) -> PathBuf {
+fn segment_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("segment-{id:05}.jsonl"))
 }
 
-pub(crate) fn segment_id(name: &str) -> Option<u32> {
+fn segment_id(name: &str) -> Option<u32> {
     name.strip_prefix("segment-")?
         .strip_suffix(".jsonl")?
         .parse()
@@ -202,7 +213,7 @@ fn parse_manifest(text: &str) -> Result<(u32, String), String> {
 }
 
 /// Write `text` to `path` atomically (`.tmp` + rename).
-pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
+fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
@@ -210,6 +221,15 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
+}
+
+/// `cells` sorted by `(exp, domain, index, key)`.
+fn sorted<'a>(cells: impl Iterator<Item = &'a Cell>) -> Vec<&'a Cell> {
+    let mut refs: Vec<&Cell> = cells.collect();
+    refs.sort_by(|a, b| {
+        (&a.exp, &a.domain, a.index, &a.key).cmp(&(&b.exp, &b.domain, b.index, &b.key))
+    });
+    refs
 }
 
 impl Store {
@@ -274,13 +294,19 @@ impl Store {
         Ok(Store {
             dir: dir.to_path_buf(),
             code,
-            index,
             stale_code,
-            writer: None,
-            next_segment: segments.last().map_or(0, |&m| m + 1),
-            segment_lines: 0,
-            torn,
+            state: Mutex::new(State {
+                index,
+                writer: None,
+                next_segment: segments.last().map_or(0, |&m| m + 1),
+                segment_lines: 0,
+                torn,
+            }),
         })
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("store lock poisoned")
     }
 
     /// The code fingerprint this store handle writes under.
@@ -302,61 +328,71 @@ impl Store {
     /// Unparsable lines skipped during load (0 on a healthy store; >0
     /// after a crash tore an append, or on corruption).
     pub fn torn(&self) -> usize {
-        self.torn
+        self.state().torn
     }
 
     /// Number of live cells.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.state().index.len()
     }
 
     /// Whether the store holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.state().index.is_empty()
     }
 
     /// Look up a cell by content address.
-    pub fn get(&self, key: &str) -> Option<&Cell> {
-        self.index.get(key)
+    pub fn get(&self, key: &str) -> Option<Cell> {
+        self.state().index.get(key).cloned()
+    }
+
+    /// Look up a cell's rows by content address.
+    pub fn rows_of(&self, key: &str) -> Option<Vec<Vec<String>>> {
+        self.state().index.get(key).map(|c| c.rows.clone())
     }
 
     /// Append a cell (journal + index). Duplicate keys overwrite.
-    pub fn put(&mut self, cell: Cell) -> io::Result<()> {
-        if self.writer.is_none() || self.segment_lines >= SEGMENT_ROTATE_LINES {
+    pub fn put(&self, cell: Cell) -> io::Result<()> {
+        let mut st = self.state();
+        if st.writer.is_none() || st.segment_lines >= SEGMENT_ROTATE_LINES {
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(segment_path(&self.dir, self.next_segment))?;
-            self.writer = Some(BufWriter::new(file));
-            self.next_segment += 1;
-            self.segment_lines = 0;
+                .open(segment_path(&self.dir, st.next_segment))?;
+            st.writer = Some(BufWriter::new(file));
+            st.next_segment += 1;
+            st.segment_lines = 0;
         }
-        let w = self.writer.as_mut().expect("writer just ensured");
+        let w = st.writer.as_mut().expect("writer just ensured");
         writeln!(w, "{}", cell.encode())?;
         w.flush()?;
-        self.segment_lines += 1;
-        self.index.insert(cell.key.clone(), cell);
+        st.segment_lines += 1;
+        st.index.insert(cell.key.clone(), cell);
         Ok(())
     }
 
     /// All live cells, sorted by `(exp, domain, index)`.
-    pub fn cells(&self) -> Vec<&Cell> {
-        let mut cells: Vec<&Cell> = self.index.values().collect();
-        cells.sort_by(|a, b| {
-            (&a.exp, &a.domain, a.index, &a.key).cmp(&(&b.exp, &b.domain, b.index, &b.key))
-        });
-        cells
+    pub fn cells(&self) -> Vec<Cell> {
+        sorted(self.state().index.values())
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// Live cells of one experiment, sorted by `(domain, index)`.
-    pub fn cells_for(&self, exp: &str) -> Vec<&Cell> {
-        self.cells().into_iter().filter(|c| c.exp == exp).collect()
+    pub fn cells_for(&self, exp: &str) -> Vec<Cell> {
+        let st = self.state();
+        sorted(st.index.values().filter(|c| c.exp == exp))
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// `(experiment, live-cell count)` pairs, sorted by name.
     pub fn experiments(&self) -> Vec<(String, usize)> {
+        let st = self.state();
         let mut counts: HashMap<&str, usize> = HashMap::new();
-        for c in self.index.values() {
+        for c in st.index.values() {
             *counts.entry(c.exp.as_str()).or_default() += 1;
         }
         let mut out: Vec<(String, usize)> =
@@ -382,15 +418,16 @@ impl Store {
 
     /// Compact: rewrite every live cell into one fresh segment, then drop
     /// the superseded segment files and any stale-generation archives.
-    pub fn gc(&mut self) -> io::Result<GcReport> {
-        self.writer = None; // close the append stream before compacting
+    pub fn gc(&self) -> io::Result<GcReport> {
+        let mut st = self.state();
+        st.writer = None; // close the append stream before compacting
         let old: Vec<(String, u64)> = self.segments()?;
-        let fresh_id = self.next_segment;
+        let fresh_id = st.next_segment;
         let fresh = segment_path(&self.dir, fresh_id);
         let tmp = fresh.with_extension("jsonl.tmp");
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
-            for cell in self.cells() {
+            for cell in sorted(st.index.values()) {
                 writeln!(w, "{}", cell.encode())?;
             }
             w.flush()?;
@@ -410,11 +447,11 @@ impl Store {
                 removed_archives += 1;
             }
         }
-        self.next_segment = fresh_id + 1;
-        self.segment_lines = 0;
-        self.torn = 0;
+        st.next_segment = fresh_id + 1;
+        st.segment_lines = 0;
+        st.torn = 0;
         Ok(GcReport {
-            live: self.index.len(),
+            live: st.index.len(),
             removed_segments: removed,
             removed_archives,
         })
@@ -482,7 +519,7 @@ mod tests {
     fn put_get_persists_across_reopen() {
         let dir = tmpdir("persist");
         {
-            let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
             for i in 0..20 {
                 s.put(cell(&format!("k{i}"), "exp", i)).unwrap();
             }
@@ -491,30 +528,60 @@ mod tests {
         let s = Store::open(&dir, code(), OnStale::Error).unwrap();
         assert_eq!(s.len(), 20);
         assert_eq!(s.torn(), 0);
-        assert_eq!(s.get("k7"), Some(&cell("k7", "exp", 7)));
+        assert_eq!(s.get("k7"), Some(cell("k7", "exp", 7)));
+        assert_eq!(s.rows_of("k7"), Some(cell("k7", "exp", 7).rows));
         assert_eq!(s.cells_for("exp").len(), 20);
         assert_eq!(s.experiments(), vec![("exp".to_string(), 20)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A crash mid-append tears the last record of the newest segment at
+    /// some byte. Cut it at every byte boundary: the complete records
+    /// before it always survive, the cut record is either read whole or
+    /// counted in `torn()`, and a later append is read back by the next
+    /// open.
     #[test]
     fn torn_tail_line_is_skipped_not_fatal() {
         let dir = tmpdir("torn");
+        let complete: Vec<Cell> = (0..3).map(|i| cell(&format!("k{i}"), "e", i)).collect();
+        let last = cell("k3", "e", 3);
         {
-            let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
-            s.put(cell("k0", "e", 0)).unwrap();
-            s.put(cell("k1", "e", 1)).unwrap();
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            for c in complete.iter().chain([&last]) {
+                s.put(c.clone()).unwrap();
+            }
         }
-        // Simulate a crash mid-append: truncate the last line of the
-        // newest segment.
-        let seg = segment_path(&dir, 0);
-        let text = fs::read_to_string(&seg).unwrap();
-        let keep = text.len() - 10;
-        fs::write(&seg, &text[..keep]).unwrap();
-        let s = Store::open(&dir, code(), OnStale::Error).unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.torn(), 1);
-        assert!(s.get("k0").is_some());
+        let manifest = fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
+        let text = fs::read_to_string(segment_path(&dir, 0)).unwrap();
+        let record = format!("{}\n", last.encode());
+        let prefix = text.strip_suffix(&record).expect("last record is the tail");
+        for cut in 0..=record.len() {
+            fs::remove_dir_all(&dir).unwrap();
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("MANIFEST.json"), &manifest).unwrap();
+            fs::write(segment_path(&dir, 0), format!("{prefix}{}", &record[..cut])).unwrap();
+
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            for c in &complete {
+                assert_eq!(s.get(&c.key).as_ref(), Some(c), "cut {cut}: {} lost", c.key);
+            }
+            match s.get(&last.key) {
+                Some(read) => {
+                    assert_eq!(read, last, "cut {cut}: partial record read");
+                    assert_eq!(s.torn(), 0, "cut {cut}");
+                }
+                None => assert_eq!(s.torn(), usize::from(cut > 0), "cut {cut}"),
+            }
+            let after = cell("k4", "e", 4);
+            s.put(after.clone()).unwrap();
+            drop(s);
+
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            assert_eq!(s.get(&after.key), Some(after), "cut {cut}: append after reopen lost");
+            for c in &complete {
+                assert_eq!(s.get(&c.key).as_ref(), Some(c), "cut {cut}: {} lost", c.key);
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -522,7 +589,7 @@ mod tests {
     fn stale_code_archives_or_errors_or_keeps() {
         let dir = tmpdir("stale");
         {
-            let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
             s.put(cell("k0", "e", 0)).unwrap();
         }
         let newer = CodeFingerprint::from_parts("test api CHANGED", "0.0.0");
@@ -553,7 +620,7 @@ mod tests {
     #[test]
     fn gc_compacts_to_one_segment_and_drops_archives() {
         let dir = tmpdir("gc");
-        let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
+        let s = Store::open(&dir, code(), OnStale::Error).unwrap();
         for i in 0..700 {
             // > SEGMENT_ROTATE_LINES forces at least one rotation
             s.put(cell(&format!("k{i}"), "e", i)).unwrap();
@@ -580,11 +647,11 @@ mod tests {
     fn appends_after_reopen_land_in_a_new_segment() {
         let dir = tmpdir("rotate");
         {
-            let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
             s.put(cell("a", "e", 0)).unwrap();
         }
         {
-            let mut s = Store::open(&dir, code(), OnStale::Error).unwrap();
+            let s = Store::open(&dir, code(), OnStale::Error).unwrap();
             s.put(cell("b", "e", 1)).unwrap();
             assert_eq!(s.segments().unwrap().len(), 2);
         }

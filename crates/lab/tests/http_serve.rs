@@ -7,7 +7,7 @@
 //! response is complete and consistent.
 
 use bvl_lab::{
-    serve, CellSpec, CodeFingerprint, Experiment, GridSpec, Job, OnStale, Service, ShardedStore,
+    serve, CellSpec, CodeFingerprint, Experiment, GridSpec, Job, OnStale, Service, Store,
 };
 use bvl_obs::Registry;
 use rand::RngCore;
@@ -74,7 +74,7 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
 fn http_serves_eight_concurrent_query_clients() {
     let dir = tmpdir("concurrent");
     let code = CodeFingerprint::from_parts("http-test-api", "0");
-    let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+    let store = Store::open(&dir, code, OnStale::Error).unwrap();
     let service = Arc::new(Service::new(store, Registry::enabled(1), vec![Box::new(Square)]));
     // 4 workers < 8 clients: the bounded pool must queue, not drop.
     let server = serve("127.0.0.1:0", Arc::clone(&service), 4).unwrap();
@@ -220,7 +220,7 @@ impl KeepAliveClient {
 fn keep_alive_reuses_one_connection_for_sequential_and_pipelined_requests() {
     let dir = tmpdir("keepalive");
     let code = CodeFingerprint::from_parts("http-test-api", "0");
-    let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+    let store = Store::open(&dir, code, OnStale::Error).unwrap();
     let service = Arc::new(Service::new(store, Registry::enabled(1), vec![Box::new(Square)]));
     let server = serve("127.0.0.1:0", Arc::clone(&service), 2).unwrap();
     let addr = server.addr();
@@ -287,7 +287,7 @@ fn keep_alive_reuses_one_connection_for_sequential_and_pipelined_requests() {
 fn run_then_query_round_trips_payloads() {
     let dir = tmpdir("roundtrip");
     let code = CodeFingerprint::from_parts("http-test-api", "0");
-    let store = ShardedStore::open(&dir, 1, code, OnStale::Error).unwrap();
+    let store = Store::open(&dir, code, OnStale::Error).unwrap();
     let service = Arc::new(Service::new(store, Registry::disabled(), vec![Box::new(Square)]));
     let rep = service.run("square", true, None).unwrap().unwrap();
     assert_eq!(rep.rows.len(), 4);

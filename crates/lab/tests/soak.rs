@@ -7,8 +7,9 @@
 //! `accepted == closed + active`, every harness-observed response counted,
 //! and the latency histogram's count equal to the response counter.
 
-use bvl_lab::{serve, CellSpec, CodeFingerprint, Experiment, GridSpec, Job, OnStale, Service,
-    ShardedStore};
+use bvl_lab::{
+    serve, CellSpec, CodeFingerprint, Experiment, GridSpec, Job, OnStale, Service, Store,
+};
 use bvl_obs::Registry;
 use rand::RngCore;
 use std::io::{Read, Write};
@@ -98,7 +99,7 @@ fn drain(addr: SocketAddr) -> String {
 fn soak_mixed_traffic_leaks_no_fds_and_metrics_reconcile() {
     let dir = tmpdir("store");
     let code = CodeFingerprint::from_parts("soak-test-api", "0");
-    let store = ShardedStore::open(&dir, 2, code, OnStale::Error).unwrap();
+    let store = Store::open(&dir, code, OnStale::Error).unwrap();
     let service = Arc::new(Service::new(store, Registry::enabled(1), vec![Box::new(Square)]));
     let server = serve("127.0.0.1:0", Arc::clone(&service), 3).unwrap();
     let addr = server.addr();

@@ -6,7 +6,7 @@
 //! * a store written under a stale code fingerprint is detected
 //!   (the check `lab diff` builds on).
 
-use bvl_lab::{run_grid, CellSpec, CodeFingerprint, GridSpec, Job, OnStale, ShardedStore, Store};
+use bvl_lab::{run_grid, CellSpec, CodeFingerprint, GridSpec, Job, OnStale, Store};
 use bvl_obs::Registry;
 use rand::RngCore;
 use std::path::PathBuf;
@@ -55,7 +55,7 @@ fn keys_and_payloads_identical_across_thread_counts() {
         // restart" is an open of the same directory; the scheduler tests
         // cover reopen, here each width gets its own store).
         let dir = tmpdir(&format!("threads-{threads}"));
-        let store = ShardedStore::open(&dir, 1, code.clone(), OnStale::Error).unwrap();
+        let store = Store::open(&dir, code.clone(), OnStale::Error).unwrap();
         let cold = run_grid(&g, Some(&store), &reg, body).unwrap();
         assert_eq!(cold.misses, 13, "at RAYON_NUM_THREADS={threads}");
         let warm = run_grid(&g, Some(&store), &reg, body).unwrap();
@@ -78,24 +78,14 @@ fn reopened_store_serves_identical_payloads() {
     let dir = tmpdir("restart");
     let reg = Registry::disabled();
     let cold = {
-        let store = ShardedStore::open(
-            &dir,
-            1,
-            CodeFingerprint::from_parts("stability-api", "0"),
-            OnStale::Error,
-        )
-        .unwrap();
+        let code = CodeFingerprint::from_parts("stability-api", "0");
+        let store = Store::open(&dir, code, OnStale::Error).unwrap();
         run_grid(&g, Some(&store), &reg, body).unwrap()
     };
     // "Restart": a brand-new store value over the same directory, with the
     // fingerprint recomputed from the same inputs (as a fresh process would).
-    let store = ShardedStore::open(
-        &dir,
-        1,
-        CodeFingerprint::from_parts("stability-api", "0"),
-        OnStale::Error,
-    )
-    .unwrap();
+    let code = CodeFingerprint::from_parts("stability-api", "0");
+    let store = Store::open(&dir, code, OnStale::Error).unwrap();
     let warm = run_grid(&g, Some(&store), &reg, body).unwrap();
     assert_eq!((warm.hits, warm.misses), (13, 0));
     assert_eq!(cold.rows, warm.rows);
@@ -111,7 +101,7 @@ fn stale_code_fingerprint_is_detected() {
     let reg = Registry::disabled();
     let old_code = CodeFingerprint::from_parts("stability-api", "0");
     {
-        let store = ShardedStore::open(&dir, 1, old_code.clone(), OnStale::Error).unwrap();
+        let store = Store::open(&dir, old_code.clone(), OnStale::Error).unwrap();
         run_grid(&g, Some(&store), &reg, body).unwrap();
     }
 
@@ -130,7 +120,7 @@ fn stale_code_fingerprint_is_detected() {
     assert!(err.to_string().contains("written by code"), "{err}");
 
     // ...and `OnStale::Invalidate` archives and recomputes everything.
-    let store = ShardedStore::open(&dir, 1, new_code, OnStale::Invalidate).unwrap();
+    let store = Store::open(&dir, new_code, OnStale::Invalidate).unwrap();
     assert_eq!(store.len(), 0);
     let recomputed = run_grid(&g, Some(&store), &reg, body).unwrap();
     assert_eq!((recomputed.hits, recomputed.misses), (0, 13));
