@@ -265,7 +265,9 @@ mod tests {
     }
 
     /// The satellite contract: a medium returning `delivered ≤ now` is a
-    /// time machine and must fail loudly (debug builds).
+    /// time machine and must fail loudly (debug builds; release builds
+    /// compile the `debug_assert!` out, so the test only exists in debug).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "time-travelled")]
     fn checked_delivery_rejects_time_travel() {

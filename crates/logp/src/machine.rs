@@ -53,7 +53,7 @@ use bvl_model::stats::Accumulator;
 use bvl_model::trace::{Event, Trace};
 use bvl_model::{Envelope, ModelError, MsgId, ProcId, Steps};
 use bvl_obs::{Counter, CounterBlock, Hist, Registry, Span, SpanKind, SpanRing};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashSet, VecDeque};
 use std::mem;
@@ -67,16 +67,21 @@ const SUB_NOTIFY: u8 = 1;
 const SUB_READY: u8 = 2;
 const SUB_BUDGET: u8 = u8::MAX;
 
+/// Handle of an envelope in its shard's [`Slab`].
+type Msg = u32;
+
+/// A timeline event. Messages travel as [`Msg`] handles into the shard's
+/// slab, so an event is 16 bytes however large an [`Envelope`] is.
 enum EvKind {
     Deliver {
-        env: Envelope,
+        msg: Msg,
     },
     Submit {
-        env: Envelope,
+        msg: Msg,
     },
     Ready {
         proc: usize,
-        acquired: Option<Envelope>,
+        acquired: Option<Msg>,
     },
     /// Re-poll the Stalling Rule for one destination after a transient
     /// capacity outage (see [`Medium::wake_hint`]): a time-varying medium
@@ -85,6 +90,59 @@ enum EvKind {
     Wake {
         dst: usize,
     },
+}
+
+// Every timeline slot queue and the heap oracle hold `EvKind`s by value:
+// re-inlining an `Envelope` here must fail the build.
+const _: () = assert!(mem::size_of::<EvKind>() <= 16);
+
+/// One shard's envelopes, each stored in one place from submission (or
+/// arrival from another shard) until its acquisition or its drop as a
+/// duplicate. The timeline, the pending queues, the buffers and the ready
+/// batch pass [`Msg`] handles; freed slots are reused last-in first-out.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Option<Envelope>>,
+    free: Vec<Msg>,
+}
+
+impl Slab {
+    fn insert(&mut self, env: Envelope) -> Msg {
+        match self.free.pop() {
+            Some(msg) => {
+                self.slots[msg as usize] = Some(env);
+                msg
+            }
+            None => {
+                let msg = Msg::try_from(self.slots.len()).expect("more than 2^32 live messages");
+                self.slots.push(Some(env));
+                msg
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, msg: Msg) -> &Envelope {
+        self.slots[msg as usize]
+            .as_ref()
+            .expect("live message handle")
+    }
+
+    #[inline]
+    fn get_mut(&mut self, msg: Msg) -> &mut Envelope {
+        self.slots[msg as usize]
+            .as_mut()
+            .expect("live message handle")
+    }
+
+    /// Remove a message, freeing its slot.
+    fn take(&mut self, msg: Msg) -> Envelope {
+        let env = self.slots[msg as usize]
+            .take()
+            .expect("live message handle");
+        self.free.push(msg);
+        env
+    }
 }
 
 /// Cross-shard notification: the outcome of a submission, delivered to the
@@ -124,7 +182,7 @@ struct Failure {
     err: ModelError,
 }
 
-/// Per-destination RNG lanes, lazily materialized. Lane `d` is the
+/// Per-destination RNG lanes, materialized on first draw. Lane `d` is the
 /// deterministic stream `derive("logp-dst", d)` of the run seed, so the
 /// draw sequence seen by destination `d`'s policy decisions depends only
 /// on the per-destination call sequence — which is shard-count-invariant.
@@ -147,6 +205,39 @@ impl Lanes {
         let stream = &self.stream;
         self.slots[dst - self.lo]
             .get_or_insert_with(|| Box::new(stream.derive("logp-dst", dst as u64)))
+    }
+
+    /// Destination `dst`'s lane as an [`RngCore`] that derives it only
+    /// when the caller first draws: a policy that never draws (the default
+    /// `AtLatencyBound` delivery) never pays for the derivation. The lane's
+    /// state is the same whenever it is first used, so the draws are too.
+    fn lazy(&mut self, dst: usize) -> LazyLane<'_> {
+        LazyLane { lanes: self, dst }
+    }
+
+    #[cfg(test)]
+    fn materialized(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+/// See [`Lanes::lazy`].
+struct LazyLane<'a> {
+    lanes: &'a mut Lanes,
+    dst: usize,
+}
+
+impl RngCore for LazyLane<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.lanes.lane(self.dst).next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.lanes.lane(self.dst).next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.lanes.lane(self.dst).fill_bytes(dest)
     }
 }
 
@@ -307,9 +398,10 @@ struct ShardSpec {
 }
 
 /// One worker's slice of the machine: struct-of-arrays processor state for
-/// the owned block, a private bucketed timeline, a medium replica, and the
-/// outgoing cross-shard mail of the current round. All vectors are indexed
-/// by *local* processor index (`global - lo`).
+/// the owned block, a private bucketed timeline, the slab of the messages
+/// it holds, a medium replica, and the outgoing cross-shard mail of the
+/// current round. All per-processor vectors are indexed by *local*
+/// processor index (`global - lo`).
 struct Shard<P: LogpProcess> {
     plan: ShardPlan,
     params: LogpParams,
@@ -320,6 +412,7 @@ struct Shard<P: LogpProcess> {
     programs: Vec<P>,
     medium: Box<dyn Medium + Send>,
     timeline: Timeline<EvKind>,
+    slab: Slab,
     lanes: Lanes,
     registry: Registry,
     now: Steps,
@@ -338,8 +431,8 @@ struct Shard<P: LogpProcess> {
     acquired_n: Vec<u64>,
     next_seq: Vec<u64>,
     max_buffer: Vec<usize>,
-    buffer: Vec<VecDeque<Envelope>>,
-    pending: Vec<VecDeque<Envelope>>,
+    buffer: Vec<VecDeque<Msg>>,
+    pending: Vec<VecDeque<Msg>>,
     in_transit: Vec<u64>,
     wake_at: Vec<Steps>,
     seen_ids: Option<Vec<HashSet<u64>>>,
@@ -356,8 +449,9 @@ struct Shard<P: LogpProcess> {
     wave: u64,
     initial_polled: bool,
     // --- round scratch ---
-    submit_batch: Vec<Envelope>,
-    ready_batch: Vec<(usize, Option<Envelope>)>,
+    /// `(source, message)` of this instant's submissions.
+    submit_batch: Vec<(usize, Msg)>,
+    ready_batch: Vec<(usize, Option<Msg>)>,
     self_notes: Vec<Note>,
     note_out: Vec<Vec<Note>>,
     submit_out: Vec<Vec<(Steps, Envelope)>>,
@@ -380,6 +474,7 @@ impl<P: LogpProcess> Shard<P> {
             programs,
             medium,
             timeline: Timeline::new(spec.config.timeline, span_hint),
+            slab: Slab::default(),
             lanes: Lanes::new(spec.config.seed, lo, n),
             registry: spec.registry.clone(),
             now: Steps::ZERO,
@@ -528,7 +623,7 @@ impl<P: LogpProcess> Shard<P> {
         while let Some(kind) = self.timeline.pop_at(self.now, Phase::Deliver) {
             self.events += 1;
             match kind {
-                EvKind::Deliver { env } => self.on_deliver(env),
+                EvKind::Deliver { msg } => self.on_deliver(msg),
                 EvKind::Wake { dst } => {
                     let _ = self.try_accept(dst, None);
                 }
@@ -542,80 +637,104 @@ impl<P: LogpProcess> Shard<P> {
         while let Some(kind) = self.timeline.pop_at(self.now, Phase::Submit) {
             self.events += 1;
             match kind {
-                EvKind::Submit { env } => self.submit_batch.push(env),
+                EvKind::Submit { msg } => {
+                    let src = self.slab.get(msg).src.index();
+                    self.submit_batch.push((src, msg));
+                }
                 _ => unreachable!("phase Submit holds only Submit events"),
             }
         }
         let mut batch = mem::take(&mut self.submit_batch);
-        batch.sort_by_key(|env| env.src.index());
-        for env in batch.drain(..) {
+        batch.sort_by_key(|&(src, _)| src);
+        for (_, msg) in batch.drain(..) {
             if self.error.is_some() {
                 break;
             }
-            self.on_submit(env);
+            self.on_submit(msg);
         }
         self.submit_batch = batch;
     }
 
-    fn on_deliver(&mut self, mut env: Envelope) {
-        let dst = env.dst.index();
-        let lx = self.lx(dst);
+    fn on_deliver(&mut self, msg: Msg) {
+        let env = self.slab.get_mut(msg);
         env.delivered = self.now;
+        let (id, dst_id, latency) = (env.id, env.dst, env.latency().get());
+        let dst = dst_id.index();
+        let lx = self.lx(dst);
         self.in_transit[lx] -= 1;
         // At-least-once transport collapses to exactly-once at the buffer:
         // the second copy of a duplicated message frees its in-transit slot
         // but is dropped before the program can observe it.
         if let Some(seen) = &mut self.seen_ids {
-            if !seen[lx].insert(env.id.0) {
+            if !seen[lx].insert(id.0) {
+                self.slab.take(msg);
                 self.duplicates_dropped += 1;
                 if let Some(cb) = &mut self.counters {
-                    cb.add(env.dst, Counter::Duplicates, 1);
+                    cb.add(dst_id, Counter::Duplicates, 1);
                 }
                 let _ = self.try_accept(dst, None);
                 return;
             }
         }
         self.delivered += 1;
-        self.latency.push(env.latency().get() as f64);
+        self.latency.push(latency as f64);
         if let Some(cb) = &mut self.counters {
-            cb.add(env.dst, Counter::Delivered, 1);
-            cb.observe(Hist::DeliveryLatency, env.latency().get());
+            cb.add(dst_id, Counter::Delivered, 1);
+            cb.observe(Hist::DeliveryLatency, latency);
         }
         self.trace_ev(
             (self.now, SUB_ARRIVAL, dst as u32),
             Event::Deliver {
                 at: self.now,
-                msg: env.id,
-                dst: env.dst,
+                msg: id,
+                dst: dst_id,
             },
         );
-        self.buffer[lx].push_back(env);
-        self.max_buffer[lx] = self.max_buffer[lx].max(self.buffer[lx].len());
-        // A freed slot may admit pending submissions.
-        let _ = self.try_accept(dst, None);
-        // A processor blocked in Recv can now start its acquisition.
         if self.waiting_recv[lx] {
-            self.start_acquisition(dst);
+            // Pass-through: a processor blocked in Recv has an empty
+            // buffer, so the message would enter it and leave at once. It
+            // still counts as buffered for `max_buffer`.
+            debug_assert!(self.buffer[lx].is_empty());
+            self.max_buffer[lx] = self.max_buffer[lx].max(1);
+            // A freed slot may admit pending submissions.
+            let _ = self.try_accept(dst, None);
+            self.start_acquisition(dst, msg);
+        } else {
+            self.buffer[lx].push_back(msg);
+            self.max_buffer[lx] = self.max_buffer[lx].max(self.buffer[lx].len());
+            let _ = self.try_accept(dst, None);
         }
     }
 
-    fn on_submit(&mut self, env: Envelope) {
-        let src = env.src;
-        let dst = env.dst.index();
-        let id = env.id;
+    fn on_submit(&mut self, msg: Msg) {
+        let env = self.slab.get(msg);
+        let (src, dst_id, id) = (env.src, env.dst, env.id);
         debug_assert_eq!(env.submitted, self.now);
+        let dst = dst_id.index();
         self.trace_ev(
             (self.now, SUB_ARRIVAL, dst as u32),
             Event::Submit {
                 at: self.now,
                 proc: src,
                 msg: id,
-                dst: env.dst,
+                dst: dst_id,
             },
         );
         let lx = self.lx(dst);
-        self.pending[lx].push_back(env);
-        if !self.try_accept(dst, Some(id)) {
+        // Pass-through: with nothing pending and a slot free, the Stalling
+        // Rule accepts this message alone. `Random` order still draws its
+        // pick from the lane, so it takes the queue.
+        let accepted = if self.pending[lx].is_empty()
+            && self.config.accept_order != AcceptOrder::Random
+            && self.in_transit[lx] < self.medium.capacity(dst_id, self.now)
+        {
+            self.accept_one(dst, msg);
+            true
+        } else {
+            self.pending[lx].push_back(msg);
+            self.try_accept(dst, Some(msg))
+        };
+        if !accepted {
             // Not accepted this instant: the sender stalls (§2.2).
             if self.config.forbid_stalling {
                 self.fail(
@@ -634,11 +753,11 @@ impl<P: LogpProcess> Shard<P> {
 
     /// The Stalling Rule at the current instant for one destination: accept
     /// `min{k, s}` pending messages in policy order, notifying each source's
-    /// shard. Returns whether `watch` was among the accepted ids. If
+    /// shard. Returns whether `watch` was among the accepted messages. If
     /// acceptance stays blocked by a transient capacity outage (nothing in
     /// transit to free a slot later), schedule a [`EvKind::Wake`] re-poll at
     /// the medium's hint so the run extends stalls instead of wedging.
-    fn try_accept(&mut self, dst: usize, watch: Option<MsgId>) -> bool {
+    fn try_accept(&mut self, dst: usize, watch: Option<Msg>) -> bool {
         let lx = self.lx(dst);
         let capacity = self.medium.capacity(ProcId::from(dst), self.now);
         let mut watched = false;
@@ -651,37 +770,9 @@ impl<P: LogpProcess> Shard<P> {
                     self.lanes.lane(dst).gen_range(0..len)
                 }
             };
-            let mut env = self.pending[lx].remove(idx).expect("checked non-empty");
-            env.accepted = self.now;
-            self.in_transit[lx] += 1;
-            self.trace_ev(
-                (self.now, SUB_ARRIVAL, dst as u32),
-                Event::Accept {
-                    at: self.now,
-                    msg: env.id,
-                },
-            );
-            if watch == Some(env.id) {
-                watched = true;
-            }
-            let src = env.src.index();
-            self.note(src, Note::Accepted { src });
-            let deliver_at =
-                self.medium
-                    .delivery_time_checked(&env, self.now, self.lanes.lane(dst));
-            let dup_at =
-                self.medium
-                    .duplicate_delivery(&env, deliver_at, self.now, self.lanes.lane(dst));
-            if let Some(at) = dup_at {
-                debug_assert!(at > self.now, "duplicate copy scheduled in the past");
-                // The extra copy occupies a slot like any accepted message
-                // (that pressure is the adversary's point).
-                self.in_transit[lx] += 1;
-                self.timeline
-                    .push(at, Phase::Deliver, EvKind::Deliver { env: env.clone() });
-            }
-            self.timeline
-                .push(deliver_at, Phase::Deliver, EvKind::Deliver { env });
+            let msg = self.pending[lx].remove(idx).expect("checked non-empty");
+            watched |= watch == Some(msg);
+            self.accept_one(dst, msg);
         }
         if !self.pending[lx].is_empty() && self.in_transit[lx] == 0 {
             // Blocked with nothing in flight: only a time-varying medium
@@ -695,6 +786,40 @@ impl<P: LogpProcess> Shard<P> {
             }
         }
         watched
+    }
+
+    /// Accept one message for `dst` now: occupy a slot, notify the
+    /// sender's shard, and schedule its delivery (plus a duplicate copy if
+    /// the medium makes one).
+    fn accept_one(&mut self, dst: usize, msg: Msg) {
+        let lx = self.lx(dst);
+        let now = self.now;
+        let env = self.slab.get_mut(msg);
+        env.accepted = now;
+        let (id, src) = (env.id, env.src.index());
+        self.in_transit[lx] += 1;
+        self.trace_ev(
+            (now, SUB_ARRIVAL, dst as u32),
+            Event::Accept { at: now, msg: id },
+        );
+        self.note(src, Note::Accepted { src });
+        let env = self.slab.get(msg);
+        let mut rng = self.lanes.lazy(dst);
+        let deliver_at = self.medium.delivery_time_checked(env, now, &mut rng);
+        let dup_at = self
+            .medium
+            .duplicate_delivery(env, deliver_at, now, &mut rng);
+        if let Some(at) = dup_at {
+            debug_assert!(at > now, "duplicate copy scheduled in the past");
+            // The extra copy occupies a slot like any accepted message
+            // (that pressure is the adversary's point).
+            self.in_transit[lx] += 1;
+            let copy = self.slab.insert(self.slab.get(msg).clone());
+            self.timeline
+                .push(at, Phase::Deliver, EvKind::Deliver { msg: copy });
+        }
+        self.timeline
+            .push(deliver_at, Phase::Deliver, EvKind::Deliver { msg });
     }
 
     fn flush_notes(&mut self, hub: &Hub) {
@@ -723,9 +848,6 @@ impl<P: LogpProcess> Shard<P> {
                     self.stalling[lx] = true;
                     self.stall_since[lx] = self.now;
                     self.stall_episodes[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(src), Counter::StallEpisodes, 1);
-                    }
                     self.trace_ev(
                         (self.now, SUB_NOTIFY, src as u32),
                         Event::StallBegin {
@@ -741,7 +863,6 @@ impl<P: LogpProcess> Shard<P> {
                         let window = self.now - self.stall_since[lx];
                         self.stalled_time[lx] += window;
                         if let Some(cb) = &mut self.counters {
-                            cb.add(ProcId::from(src), Counter::StallSteps, window.get());
                             cb.observe(Hist::StallDuration, window.get());
                         }
                         if let Some(ring) = &self.ring {
@@ -817,7 +938,8 @@ impl<P: LogpProcess> Shard<P> {
                 if self.error.is_some() {
                     break;
                 }
-                if let Some(env) = acquired {
+                if let Some(msg) = acquired {
+                    let env = self.slab.take(msg);
                     self.trace_ev(
                         (self.now, SUB_READY, proc as u32),
                         Event::Acquire {
@@ -828,9 +950,6 @@ impl<P: LogpProcess> Shard<P> {
                     );
                     let lx = self.lx(proc);
                     self.acquired_n[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(proc), Counter::Acquired, 1);
-                    }
                     self.programs[lx].on_recv(env);
                 }
                 self.poll(proc);
@@ -842,12 +961,11 @@ impl<P: LogpProcess> Shard<P> {
         }
     }
 
-    /// Begin the `o`-overhead acquisition of the oldest buffered message,
+    /// Begin the `o`-overhead acquisition of `msg` (the oldest buffered
+    /// message, or the one just delivered to a waiting processor),
     /// honouring the acquisition gap.
-    fn start_acquisition(&mut self, proc: usize) {
+    fn start_acquisition(&mut self, proc: usize, msg: Msg) {
         let lx = self.lx(proc);
-        debug_assert!(!self.buffer[lx].is_empty());
-        let env = self.buffer[lx].pop_front().expect("buffer non-empty");
         let t_acq = (self.now + Steps(self.params.o)).max(self.next_acquire_min[lx]);
         self.next_acquire_min[lx] = t_acq + Steps(self.params.g);
         self.waiting_recv[lx] = false;
@@ -857,7 +975,7 @@ impl<P: LogpProcess> Shard<P> {
             Phase::Ready,
             EvKind::Ready {
                 proc,
-                acquired: Some(env),
+                acquired: Some(msg),
             },
         );
     }
@@ -952,9 +1070,6 @@ impl<P: LogpProcess> Shard<P> {
                     self.next_submit_min[lx] = t_sub + Steps(self.params.g);
                     self.busy[lx] += Steps(self.params.o);
                     self.sent[lx] += 1;
-                    if let Some(cb) = &mut self.counters {
-                        cb.add(ProcId::from(proc), Counter::Submitted, 1);
-                    }
                     // Per-source id lanes: unique across the run and
                     // independent of cross-shard interleaving.
                     let id = MsgId(self.next_seq[lx] * self.params.p as u64 + proc as u64);
@@ -970,8 +1085,9 @@ impl<P: LogpProcess> Shard<P> {
                     };
                     let owner = self.plan.owner(dst.index());
                     if owner == self.me && t_sub > self.now {
+                        let msg = self.slab.insert(env);
                         self.timeline
-                            .push(t_sub, Phase::Submit, EvKind::Submit { env });
+                            .push(t_sub, Phase::Submit, EvKind::Submit { msg });
                     } else {
                         // Same-instant and cross-shard submissions are
                         // deferred to the end of the round: no Submit event
@@ -982,10 +1098,9 @@ impl<P: LogpProcess> Shard<P> {
                     return;
                 }
                 Op::Recv => {
-                    if self.buffer[lx].is_empty() {
-                        self.waiting_recv[lx] = true;
-                    } else {
-                        self.start_acquisition(proc);
+                    match self.buffer[lx].pop_front() {
+                        Some(msg) => self.start_acquisition(proc, msg),
+                        None => self.waiting_recv[lx] = true,
                     }
                     return;
                 }
@@ -994,7 +1109,8 @@ impl<P: LogpProcess> Shard<P> {
     }
 
     /// End-of-round: move deferred submissions into their owners'
-    /// timelines — own-shard ones directly, cross-shard ones via the hub.
+    /// timelines — own-shard ones directly, cross-shard ones by value via
+    /// the hub (they enter the receiving shard's slab in `drain_inbox`).
     fn flush_submits(&mut self, hub: &Hub) {
         for (s, out) in self.submit_out.iter_mut().enumerate() {
             if out.is_empty() {
@@ -1002,7 +1118,8 @@ impl<P: LogpProcess> Shard<P> {
             }
             if s == self.me {
                 for (t, env) in out.drain(..) {
-                    self.timeline.push(t, Phase::Submit, EvKind::Submit { env });
+                    let msg = self.slab.insert(env);
+                    self.timeline.push(t, Phase::Submit, EvKind::Submit { msg });
                 }
             } else {
                 hub.inboxes[s].lock().unwrap().submits.append(out);
@@ -1020,7 +1137,8 @@ impl<P: LogpProcess> Shard<P> {
         }
         let submits = mem::take(&mut hub.inboxes[self.me].lock().unwrap().submits);
         for (t, env) in submits {
-            self.timeline.push(t, Phase::Submit, EvKind::Submit { env });
+            let msg = self.slab.insert(env);
+            self.timeline.push(t, Phase::Submit, EvKind::Submit { msg });
         }
     }
 }
@@ -1255,6 +1373,15 @@ impl<P: LogpProcess> LogpMachine<P> {
                 self.instruments.registry.note_spans_dropped(ring.dropped());
             }
             if let Some(cb) = &mut s.counters {
+                // Counters that mirror a per-processor statistic are
+                // staged from it once here rather than per event.
+                for i in 0..s.n {
+                    let proc = ProcId::from(s.lo + i);
+                    cb.add(proc, Counter::Submitted, s.sent[i]);
+                    cb.add(proc, Counter::Acquired, s.acquired_n[i]);
+                    cb.add(proc, Counter::StallEpisodes, s.stall_episodes[i]);
+                    cb.add(proc, Counter::StallSteps, s.stalled_time[i].get());
+                }
                 self.instruments.registry.absorb_counters(cb);
             }
         }
@@ -1808,6 +1935,32 @@ mod shard_tests {
                 "expected timeout at {shards} shards"
             );
         }
+    }
+
+    /// RNG lanes are derived on first draw only: a default-config run
+    /// (`AtLatencyBound` delivery, `Fifo` acceptance) on contested traffic
+    /// derives none, and a `Uniform` run derives some.
+    #[test]
+    fn lanes_materialize_only_when_drawn() {
+        let lanes_after = |delivery: DeliveryPolicy| {
+            let p = 6;
+            let params = LogpParams::new(p, 4, 1, 2).unwrap();
+            let config = LogpConfig {
+                delivery,
+                ..LogpConfig::default()
+            };
+            let mut m = LogpMachine::with_config(params, config, hot_spot(p));
+            while m.step().unwrap() {}
+            let engine = m.engine.as_ref().expect("stepping installs the engine");
+            (engine.shard.lanes.materialized(), m.outcome().delivered)
+        };
+        assert_eq!(lanes_after(DeliveryPolicy::AtLatencyBound), (0, 5));
+        let (lanes, delivered) = lanes_after(DeliveryPolicy::Uniform);
+        assert!(
+            lanes > 0,
+            "Uniform delivery draws, so it must derive a lane"
+        );
+        assert_eq!(delivered, 5);
     }
 
     /// `Executor::step` (one instant per call) reaches the same terminal
