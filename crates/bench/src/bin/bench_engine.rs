@@ -7,7 +7,9 @@
 //! * **timeline** — whole-machine LogP runs under `TimelineKind::BinaryHeap`
 //!   (the pre-overhaul engine, kept selectable exactly for this comparison)
 //!   vs `TimelineKind::Bucket` (the calendar queue). "before/after" on the
-//!   same binary, same workloads.
+//!   same binary, same workloads. The two sides' reps alternate (heap,
+//!   bucket, heap, …) and each side keeps its fastest, so a slow spell on
+//!   the host hits both rather than skewing the ratio.
 //! * **payload** — construct+clone+read round-trips for an inline payload vs
 //!   a spilled one. The spill path is the old representation (every payload
 //!   heap-allocated a `Vec`), so this is the message-layer before/after.
@@ -18,8 +20,11 @@
 //!   one reports noise as a slowdown).
 //! * **scaling** — the sharded engine's growth curve: single-shard wall
 //!   time of a fixed-rounds ring versus machine size `p` from 64 to 10⁶ by
-//!   decades, plus shards-vs-speedup rows at `p = 10⁵` (skipped with a
-//!   notice when the host has fewer than two cores).
+//!   decades, the same ring over a seeded random single cycle at 10⁴–10⁶
+//!   (every delivery then touches a far-away processor, so the rows show
+//!   what memory locality costs at large `p`), plus shards-vs-speedup rows
+//!   at `p = 10⁵` (skipped with a notice when the host has fewer than two
+//!   cores).
 //!
 //! Wall-clock numbers are environment-dependent; the JSON records the host
 //! parallelism next to them. Run via `scripts/regen_experiments.sh` or:
@@ -41,8 +46,10 @@ use bvl_bench::sweep::sweep;
 use bvl_logp::{
     LogpConfig, LogpMachine, LogpParams, LogpProcess, Op, ProcView, Script, TimelineKind,
 };
+use bvl_model::rngutil::SeedStream;
 use bvl_model::{Payload, ProcId, INLINE_WORDS};
 use bvl_net::{measure_parameters, Hypercube, MeshOfTrees, RouterConfig, Topology};
+use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -89,15 +96,18 @@ fn alltoall_scripts(p: usize) -> Vec<Script> {
         .collect()
 }
 
+/// Wall time of one call of `f`, in milliseconds.
+fn once_ms<F: FnMut()>(mut f: F) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
 /// Best-of-`reps` wall time of `f`, in milliseconds.
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+    (0..reps)
+        .map(|_| once_ms(&mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn run_machine(kind: TimelineKind, scripts: Vec<Script>, p: usize) -> u64 {
@@ -112,6 +122,9 @@ fn run_machine(kind: TimelineKind, scripts: Vec<Script>, p: usize) -> u64 {
 
 type ScriptBuilder = Box<dyn Fn() -> Vec<Script>>;
 
+/// Timing reps per side of the heap-vs-bucket comparison.
+const TIMELINE_REPS: usize = 9;
+
 fn timeline_section(out: &mut Vec<String>) {
     let cases: Vec<(&str, usize, ScriptBuilder)> = vec![
         ("ring_x32", 64, Box::new(|| ring_scripts(64, 32))),
@@ -119,17 +132,20 @@ fn timeline_section(out: &mut Vec<String>) {
         ("all_to_all", 64, Box::new(|| alltoall_scripts(64))),
     ];
     for (name, p, build) in cases {
-        // Equal work both sides; 10 machine runs per timing rep.
-        let heap_ms = time_ms(5, || {
-            for _ in 0..10 {
-                black_box(run_machine(TimelineKind::BinaryHeap, build(), p));
-            }
-        });
-        let bucket_ms = time_ms(5, || {
-            for _ in 0..10 {
-                black_box(run_machine(TimelineKind::Bucket, build(), p));
-            }
-        });
+        // Equal work both sides; 10 machine runs per timing rep, reps
+        // alternating heap and bucket, best of each side.
+        let rep_ms = |kind| {
+            once_ms(|| {
+                for _ in 0..10 {
+                    black_box(run_machine(kind, build(), p));
+                }
+            })
+        };
+        let (mut heap_ms, mut bucket_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..TIMELINE_REPS {
+            heap_ms = heap_ms.min(rep_ms(TimelineKind::BinaryHeap));
+            bucket_ms = bucket_ms.min(rep_ms(TimelineKind::Bucket));
+        }
         eprintln!(
             "timeline/{name}: heap {heap_ms:.2} ms, bucket {bucket_ms:.2} ms, speedup {:.2}x",
             heap_ms / bucket_ms
@@ -270,50 +286,90 @@ impl LogpProcess for RingProc {
 /// Rounds per processor in the scaling-curve ring; total work is O(p · rounds).
 const SCALING_ROUNDS: u32 = 4;
 
-/// Wall time of one ring run at `p` processors under `shards` shards,
-/// excluding machine construction (the curve tracks engine throughput, not
-/// allocation).
-fn ring_time_ms(p: usize, shards: usize) -> f64 {
+/// Successor map of a seeded random single cycle over `p` processors
+/// (Sattolo's algorithm).
+fn random_cycle(p: usize) -> Vec<usize> {
+    let mut rng = SeedStream::new(SCALING_SEED).derive("bench-engine-cycle", p as u64);
+    let mut next: Vec<usize> = (0..p).collect();
+    for i in (1..p).rev() {
+        let j = rng.gen_range(0..i);
+        next.swap(i, j);
+    }
+    next
+}
+
+/// Seed of the random-cycle scaling rows.
+const SCALING_SEED: u64 = 14;
+
+/// Wall time of one ring run under `shards` shards, where processor `i`
+/// sends to `next[i]`, excluding machine construction (the curve tracks
+/// engine throughput, not allocation).
+fn ring_time_ms(next: &[usize], shards: usize) -> f64 {
+    let p = next.len();
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
     let config = LogpConfig {
         shards,
         ..LogpConfig::default()
     };
-    let procs = (0..p)
-        .map(|i| RingProc {
-            next: ProcId(((i + 1) % p) as u32),
+    let procs = next
+        .iter()
+        .map(|&n| RingProc {
+            next: ProcId(n as u32),
             rounds_left: SCALING_ROUNDS,
             recv_pending: false,
         })
         .collect();
     let mut m = LogpMachine::with_config(params, config, procs);
-    let t0 = Instant::now();
-    black_box(m.run().unwrap().makespan.get());
-    t0.elapsed().as_secs_f64() * 1e3
+    once_ms(|| {
+        black_box(m.run().unwrap().makespan.get());
+    })
+}
+
+/// The successor map of the neighbour ring `i → i + 1`.
+fn neighbour_ring(p: usize) -> Vec<usize> {
+    (0..p).map(|i| (i + 1) % p).collect()
+}
+
+/// Single-shard rows `{p, ms, ns_per_msg}` of the ring over `next(p)`.
+fn scaling_rows(label: &str, ps: &[usize], next: fn(usize) -> Vec<usize>) -> String {
+    let mut rows = Vec::new();
+    for &p in ps {
+        let next = next(p);
+        // Small machines are fast enough to repeat; the big ones are long
+        // enough that a single run is already stable.
+        let reps = if p <= 10_000 { 3 } else { 1 };
+        let best = (0..reps)
+            .map(|_| ring_time_ms(&next, 1))
+            .fold(f64::INFINITY, f64::min);
+        let ns_per_msg = best * 1e6 / (p as f64 * f64::from(SCALING_ROUNDS));
+        eprintln!(
+            "scaling/ring_x{SCALING_ROUNDS}/{label}: p = {p}, {best:.1} ms, \
+             {ns_per_msg:.0} ns/msg (1 shard)"
+        );
+        rows.push(format!(
+            "      {{\"p\": {p}, \"ms\": {best:.3}, \"ns_per_msg\": {ns_per_msg:.1}}}"
+        ));
+    }
+    rows.join(",\n")
 }
 
 fn scaling_section() -> String {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut rows = Vec::new();
-    for &p in &[64usize, 1_000, 10_000, 100_000, 1_000_000] {
-        // Small machines are fast enough to repeat; the big ones are long
-        // enough that a single run is already stable.
-        let reps = if p <= 10_000 { 3 } else { 1 };
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            best = best.min(ring_time_ms(p, 1));
-        }
-        eprintln!("scaling/ring_x{SCALING_ROUNDS}: p = {p}, {best:.1} ms (1 shard)");
-        rows.push(format!("      {{\"p\": {p}, \"ms\": {best:.3}}}"));
-    }
+    let rows = scaling_rows(
+        "neighbour",
+        &[64, 1_000, 10_000, 100_000, 1_000_000],
+        neighbour_ring,
+    );
+    let random_rows = scaling_rows("random_cycle", &[10_000, 100_000, 1_000_000], random_cycle);
     let shard_json = if host >= 2 {
         let p = 100_000;
-        let base = ring_time_ms(p, 1);
+        let ring = neighbour_ring(p);
+        let base = ring_time_ms(&ring, 1);
         let mut srows = vec![format!(
             "      {{\"shards\": 1, \"ms\": {base:.3}, \"speedup\": 1.0}}"
         )];
         for shards in [2usize, 4] {
-            let ms = ring_time_ms(p, shards);
+            let ms = ring_time_ms(&ring, shards);
             eprintln!(
                 "scaling/shards: p = {p}, {shards} shards {ms:.1} ms, speedup {:.2}x",
                 base / ms
@@ -336,8 +392,9 @@ fn scaling_section() -> String {
     };
     format!(
         "  \"scaling\": {{\n    \"workload\": \"ring_x{SCALING_ROUNDS}\",\n    \
-         \"single_shard\": [\n{}\n    ],\n    {shard_json}\n  }}",
-        rows.join(",\n")
+         \"single_shard\": [\n{rows}\n    ],\n    \
+         \"random_cycle\": {{\"seed\": {SCALING_SEED}, \"single_shard\": [\n{random_rows}\n    ]}},\n    \
+         {shard_json}\n  }}"
     )
 }
 

@@ -99,26 +99,50 @@ const _: () = assert!(mem::size_of::<EvKind>() <= 16);
 /// One shard's envelopes, each stored in one place from submission (or
 /// arrival from another shard) until its acquisition or its drop as a
 /// duplicate. The timeline, the pending queues, the buffers and the ready
-/// batch pass [`Msg`] handles; freed slots are reused last-in first-out.
+/// batch pass [`Msg`] handles.
+///
+/// Slots are handed out in creation order: a cursor sweeps the slot vector
+/// and takes the next free slot, skipping live ones. At the end it wraps
+/// to slot 0 while at most half the slots are live, and appends otherwise,
+/// so the vector stays within `2 · peak_live + 1` slots. A ready wave's
+/// sends therefore land in consecutive slots in sender order, and the
+/// source-ordered submit and deliver passes walk the slab sequentially
+/// (DESIGN.md §7.1). Handles never order anything and never reach output.
 #[derive(Default)]
 struct Slab {
     slots: Vec<Option<Envelope>>,
-    free: Vec<Msg>,
+    /// Where the sweep for the next free slot starts.
+    cursor: usize,
+    /// Occupied slots.
+    live: usize,
 }
 
 impl Slab {
     fn insert(&mut self, env: Envelope) -> Msg {
-        match self.free.pop() {
-            Some(msg) => {
-                self.slots[msg as usize] = Some(env);
-                msg
+        loop {
+            if self.cursor == self.slots.len() {
+                // Wrap only while at most half the slots are live;
+                // otherwise append.
+                let free = self.slots.len() - self.live;
+                if free == 0 || free < self.live {
+                    break;
+                }
+                self.cursor = 0;
             }
-            None => {
-                let msg = Msg::try_from(self.slots.len()).expect("more than 2^32 live messages");
-                self.slots.push(Some(env));
-                msg
+            if self.slots[self.cursor].is_none() {
+                break;
             }
+            self.cursor += 1;
         }
+        let msg = Msg::try_from(self.cursor).expect("more than 2^32 live messages");
+        if self.cursor == self.slots.len() {
+            self.slots.push(Some(env));
+        } else {
+            self.slots[self.cursor] = Some(env);
+        }
+        self.cursor += 1;
+        self.live += 1;
+        msg
     }
 
     #[inline]
@@ -140,10 +164,26 @@ impl Slab {
         let env = self.slots[msg as usize]
             .take()
             .expect("live message handle");
-        self.free.push(msg);
+        self.live -= 1;
         env
     }
 }
+
+/// The per-processor state that every delivery, submission and
+/// acquisition touches, in one record: one cache line per event instead of
+/// one per vector. `pending` mirrors `Shard::pending[lx].len()`, so the
+/// common nothing-pending check does not read the queue.
+#[derive(Clone, Copy, Default)]
+struct Hot {
+    next_acquire_min: Steps,
+    busy: Steps,
+    in_transit: u32,
+    pending: u32,
+    max_buffer: u32,
+    waiting_recv: bool,
+}
+
+const _: () = assert!(mem::size_of::<Hot>() <= 32);
 
 /// Cross-shard notification: the outcome of a submission, delivered to the
 /// *sender's* shard (stall bookkeeping lives with the sender). At most one
@@ -417,23 +457,19 @@ struct Shard<P: LogpProcess> {
     registry: Registry,
     now: Steps,
     // --- per-processor state (SoA, local index) ---
+    hot: Vec<Hot>,
     halted: Vec<bool>,
     stalling: Vec<bool>,
-    waiting_recv: Vec<bool>,
     stall_since: Vec<Steps>,
     next_submit_min: Vec<Steps>,
-    next_acquire_min: Vec<Steps>,
-    busy: Vec<Steps>,
     stalled_time: Vec<Steps>,
     halt_time: Vec<Steps>,
     stall_episodes: Vec<u64>,
     sent: Vec<u64>,
     acquired_n: Vec<u64>,
     next_seq: Vec<u64>,
-    max_buffer: Vec<usize>,
     buffer: Vec<VecDeque<Msg>>,
     pending: Vec<VecDeque<Msg>>,
-    in_transit: Vec<u64>,
     wake_at: Vec<Steps>,
     seen_ids: Option<Vec<HashSet<u64>>>,
     // --- run accumulators ---
@@ -478,23 +514,19 @@ impl<P: LogpProcess> Shard<P> {
             lanes: Lanes::new(spec.config.seed, lo, n),
             registry: spec.registry.clone(),
             now: Steps::ZERO,
+            hot: vec![Hot::default(); n],
             halted: vec![false; n],
             stalling: vec![false; n],
-            waiting_recv: vec![false; n],
             stall_since: vec![Steps::ZERO; n],
             next_submit_min: vec![Steps::ZERO; n],
-            next_acquire_min: vec![Steps::ZERO; n],
-            busy: vec![Steps::ZERO; n],
             stalled_time: vec![Steps::ZERO; n],
             halt_time: vec![Steps::MAX; n],
             stall_episodes: vec![0; n],
             sent: vec![0; n],
             acquired_n: vec![0; n],
             next_seq: vec![0; n],
-            max_buffer: vec![0; n],
             buffer: vec![VecDeque::new(); n],
             pending: vec![VecDeque::new(); n],
-            in_transit: vec![0; n],
             wake_at: vec![Steps::ZERO; n],
             seen_ids: spec.dedup.then(|| vec![HashSet::new(); n]),
             latency: Accumulator::new(),
@@ -661,7 +693,7 @@ impl<P: LogpProcess> Shard<P> {
         let (id, dst_id, latency) = (env.id, env.dst, env.latency().get());
         let dst = dst_id.index();
         let lx = self.lx(dst);
-        self.in_transit[lx] -= 1;
+        self.hot[lx].in_transit -= 1;
         // At-least-once transport collapses to exactly-once at the buffer:
         // the second copy of a duplicated message frees its in-transit slot
         // but is dropped before the program can observe it.
@@ -690,18 +722,20 @@ impl<P: LogpProcess> Shard<P> {
                 dst: dst_id,
             },
         );
-        if self.waiting_recv[lx] {
+        let hot = &mut self.hot[lx];
+        if hot.waiting_recv {
             // Pass-through: a processor blocked in Recv has an empty
             // buffer, so the message would enter it and leave at once. It
             // still counts as buffered for `max_buffer`.
             debug_assert!(self.buffer[lx].is_empty());
-            self.max_buffer[lx] = self.max_buffer[lx].max(1);
+            hot.max_buffer = hot.max_buffer.max(1);
             // A freed slot may admit pending submissions.
             let _ = self.try_accept(dst, None);
             self.start_acquisition(dst, msg);
         } else {
             self.buffer[lx].push_back(msg);
-            self.max_buffer[lx] = self.max_buffer[lx].max(self.buffer[lx].len());
+            let len = u32::try_from(self.buffer[lx].len()).expect("buffer holds slab handles");
+            hot.max_buffer = hot.max_buffer.max(len);
             let _ = self.try_accept(dst, None);
         }
     }
@@ -724,14 +758,16 @@ impl<P: LogpProcess> Shard<P> {
         // Pass-through: with nothing pending and a slot free, the Stalling
         // Rule accepts this message alone. `Random` order still draws its
         // pick from the lane, so it takes the queue.
-        let accepted = if self.pending[lx].is_empty()
+        let hot = self.hot[lx];
+        let accepted = if hot.pending == 0
             && self.config.accept_order != AcceptOrder::Random
-            && self.in_transit[lx] < self.medium.capacity(dst_id, self.now)
+            && u64::from(hot.in_transit) < self.medium.capacity(dst_id, self.now)
         {
             self.accept_one(dst, msg);
             true
         } else {
             self.pending[lx].push_back(msg);
+            self.hot[lx].pending += 1;
             self.try_accept(dst, Some(msg))
         };
         if !accepted {
@@ -761,7 +797,7 @@ impl<P: LogpProcess> Shard<P> {
         let lx = self.lx(dst);
         let capacity = self.medium.capacity(ProcId::from(dst), self.now);
         let mut watched = false;
-        while self.in_transit[lx] < capacity && !self.pending[lx].is_empty() {
+        while u64::from(self.hot[lx].in_transit) < capacity && self.hot[lx].pending > 0 {
             let idx = match self.config.accept_order {
                 AcceptOrder::Fifo => 0,
                 AcceptOrder::Lifo => self.pending[lx].len() - 1,
@@ -771,10 +807,11 @@ impl<P: LogpProcess> Shard<P> {
                 }
             };
             let msg = self.pending[lx].remove(idx).expect("checked non-empty");
+            self.hot[lx].pending -= 1;
             watched |= watch == Some(msg);
             self.accept_one(dst, msg);
         }
-        if !self.pending[lx].is_empty() && self.in_transit[lx] == 0 {
+        if self.hot[lx].pending > 0 && self.hot[lx].in_transit == 0 {
             // Blocked with nothing in flight: only a time-varying medium
             // can unblock this — ask it when.
             if let Some(at) = self.medium.wake_hint(ProcId::from(dst), self.now) {
@@ -797,7 +834,7 @@ impl<P: LogpProcess> Shard<P> {
         let env = self.slab.get_mut(msg);
         env.accepted = now;
         let (id, src) = (env.id, env.src.index());
-        self.in_transit[lx] += 1;
+        self.hot[lx].in_transit += 1;
         self.trace_ev(
             (now, SUB_ARRIVAL, dst as u32),
             Event::Accept { at: now, msg: id },
@@ -813,7 +850,7 @@ impl<P: LogpProcess> Shard<P> {
             debug_assert!(at > now, "duplicate copy scheduled in the past");
             // The extra copy occupies a slot like any accepted message
             // (that pressure is the adversary's point).
-            self.in_transit[lx] += 1;
+            self.hot[lx].in_transit += 1;
             let copy = self.slab.insert(self.slab.get(msg).clone());
             self.timeline
                 .push(at, Phase::Deliver, EvKind::Deliver { msg: copy });
@@ -966,10 +1003,11 @@ impl<P: LogpProcess> Shard<P> {
     /// honouring the acquisition gap.
     fn start_acquisition(&mut self, proc: usize, msg: Msg) {
         let lx = self.lx(proc);
-        let t_acq = (self.now + Steps(self.params.o)).max(self.next_acquire_min[lx]);
-        self.next_acquire_min[lx] = t_acq + Steps(self.params.g);
-        self.waiting_recv[lx] = false;
-        self.busy[lx] += Steps(self.params.o);
+        let hot = &mut self.hot[lx];
+        let t_acq = (self.now + Steps(self.params.o)).max(hot.next_acquire_min);
+        hot.next_acquire_min = t_acq + Steps(self.params.g);
+        hot.waiting_recv = false;
+        hot.busy += Steps(self.params.o);
         self.timeline.push(
             t_acq,
             Phase::Ready,
@@ -1016,7 +1054,7 @@ impl<P: LogpProcess> Shard<P> {
                     }
                 }
                 Op::Compute(n) => {
-                    self.busy[lx] += Steps(n);
+                    self.hot[lx].busy += Steps(n);
                     if let Some(cb) = &mut self.counters {
                         cb.add(ProcId::from(proc), Counter::LocalOps, n);
                     }
@@ -1068,7 +1106,7 @@ impl<P: LogpProcess> Shard<P> {
                     }
                     let t_sub = (self.now + Steps(self.params.o)).max(self.next_submit_min[lx]);
                     self.next_submit_min[lx] = t_sub + Steps(self.params.g);
-                    self.busy[lx] += Steps(self.params.o);
+                    self.hot[lx].busy += Steps(self.params.o);
                     self.sent[lx] += 1;
                     // Per-source id lanes: unique across the run and
                     // independent of cross-shard interleaving.
@@ -1100,7 +1138,7 @@ impl<P: LogpProcess> Shard<P> {
                 Op::Recv => {
                     match self.buffer[lx].pop_front() {
                         Some(msg) => self.start_acquisition(proc, msg),
-                        None => self.waiting_recv[lx] = true,
+                        None => self.hot[lx].waiting_recv = true,
                     }
                     return;
                 }
@@ -1410,11 +1448,11 @@ impl<P: LogpProcess> LogpMachine<P> {
         for s in shards {
             for i in 0..s.n {
                 let stats = ProcStats {
-                    busy: s.busy[i],
+                    busy: s.hot[i].busy,
                     stalled: s.stalled_time[i],
                     stall_episodes: s.stall_episodes[i],
                     halt_time: s.halt_time[i],
-                    max_buffer: s.max_buffer[i],
+                    max_buffer: s.hot[i].max_buffer as usize,
                     sent: s.sent[i],
                     acquired: s.acquired_n[i],
                 };
@@ -1710,6 +1748,81 @@ mod tests {
         // experiment proper (E-ANOM) uses the paper's exact schedule. Here
         // we only assert the machine permits G > L when unchecked.
         assert_eq!(report.delivered, 2 * n);
+    }
+}
+
+#[cfg(test)]
+mod slab_tests {
+    use super::*;
+    use bvl_model::Payload;
+    use rand::SeedableRng;
+
+    fn env(id: u64) -> Envelope {
+        Envelope {
+            id: MsgId(id),
+            ..Envelope::new(ProcId(0), ProcId(1), Payload::word(0, id as i64))
+        }
+    }
+
+    #[test]
+    fn freed_slots_are_reused_in_creation_order() {
+        let mut slab = Slab::default();
+        let first: Vec<Msg> = (0..8).map(|i| slab.insert(env(i))).collect();
+        assert_eq!(first, (0..8).collect::<Vec<Msg>>());
+        // Free them in a scrambled order: the next messages still take the
+        // slots in ascending order, not the reverse of the frees.
+        for msg in [5, 2, 7, 0, 3, 6, 1, 4] {
+            slab.take(msg);
+        }
+        let second: Vec<Msg> = (8..16).map(|i| slab.insert(env(i))).collect();
+        assert_eq!(second, (0..8).collect::<Vec<Msg>>());
+        assert_eq!(slab.slots.len(), 8);
+    }
+
+    #[test]
+    fn live_slots_are_skipped_never_overwritten() {
+        let mut slab = Slab::default();
+        for i in 0..8 {
+            slab.insert(env(i));
+        }
+        for msg in (0..8).filter(|&m| m != 3) {
+            slab.take(msg);
+        }
+        let next: Vec<Msg> = (100..107).map(|i| slab.insert(env(i))).collect();
+        assert_eq!(next, vec![0, 1, 2, 4, 5, 6, 7]);
+        assert_eq!(slab.get(3).id, MsgId(3), "the long-lived message is intact");
+        // Everything is live now: the next insert appends.
+        assert_eq!(slab.insert(env(200)), 8);
+    }
+
+    #[test]
+    fn slot_vector_stays_within_twice_the_peak() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut slab = Slab::default();
+        let mut live: Vec<Msg> = Vec::new();
+        let mut peak = 0;
+        let mut next_id = 0;
+        for step in 0..20_000u64 {
+            // Phases of growth and shrinkage, with random frees in between.
+            let grow = (step / 2_000) % 2 == 0;
+            if live.is_empty() || rng.gen_bool(if grow { 0.7 } else { 0.3 }) {
+                let msg = slab.insert(env(next_id));
+                assert!(!live.contains(&msg), "handed out a live slot");
+                live.push(msg);
+                next_id += 1;
+            } else {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                slab.take(victim);
+            }
+            peak = peak.max(live.len());
+            assert_eq!(slab.live, live.len());
+            assert!(
+                slab.slots.len() <= 2 * peak + 1,
+                "{} slots for a peak of {peak} live",
+                slab.slots.len()
+            );
+        }
+        assert!(peak > 100, "the churn reached a real peak");
     }
 }
 

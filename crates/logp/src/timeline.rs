@@ -36,6 +36,7 @@ use bvl_model::Steps;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::mem;
 
 /// Number of event phases per instant (see [`Phase`]).
 pub const PHASES: usize = Phase::COUNT;
@@ -95,6 +96,10 @@ struct Ring<T> {
     /// elections cost amortized `O(1)` instead of a window scan each.
     earliest: Cell<u64>,
     overflow: BinaryHeap<Reverse<Keyed<T>>>,
+    /// Drained slot buffers, kept for reuse (at most [`PHASES`]). A queue
+    /// keeps its capacity after it drains, so without recycling every
+    /// slot would end up holding its own peak-sized allocation.
+    spare: Vec<VecDeque<T>>,
 }
 
 impl<T> Ring<T> {
@@ -111,6 +116,7 @@ impl<T> Ring<T> {
             ring_len: 0,
             earliest: Cell::new(u64::MAX),
             overflow: BinaryHeap::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -123,9 +129,7 @@ impl<T> Ring<T> {
     fn push(&mut self, at: u64, phase: u8, seq: u64, payload: T) {
         debug_assert!(at >= self.cursor, "push into the past");
         if at - self.cursor < self.horizon() {
-            self.slots[(at & self.mask) as usize][phase as usize].push_back(payload);
-            self.ring_len += 1;
-            self.earliest.set(self.earliest.get().min(at));
+            self.push_slot(at, phase, payload);
         } else {
             self.overflow.push(Reverse(Keyed {
                 at,
@@ -145,10 +149,42 @@ impl<T> Ring<T> {
                 break;
             }
             let Reverse(ev) = self.overflow.pop().expect("peeked");
-            self.slots[(ev.at & self.mask) as usize][ev.phase as usize].push_back(ev.payload);
-            self.ring_len += 1;
-            self.earliest.set(self.earliest.get().min(ev.at));
+            self.push_slot(ev.at, ev.phase, ev.payload);
         }
+    }
+
+    /// Append to an in-window `(slot, phase)` FIFO, giving it a spare
+    /// buffer first if it has none.
+    #[inline]
+    fn push_slot(&mut self, at: u64, phase: u8, payload: T) {
+        let q = &mut self.slots[(at & self.mask) as usize][phase as usize];
+        if q.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *q = buf;
+            }
+        }
+        q.push_back(payload);
+        self.ring_len += 1;
+        self.earliest.set(self.earliest.get().min(at));
+    }
+
+    /// Move the cursor to `at`, handing the drained buffers of the slot it
+    /// leaves to the spare pool (slots a jump skips over give theirs back
+    /// when the cursor next stops on them), then drain newly covered
+    /// overflow events.
+    fn move_cursor(&mut self, at: u64) {
+        if at != self.cursor {
+            for q in &mut self.slots[(self.cursor & self.mask) as usize] {
+                debug_assert!(q.is_empty(), "cursor left a non-empty slot");
+                if q.capacity() > 0 && self.spare.len() < PHASES {
+                    self.spare.push(mem::take(q));
+                } else {
+                    *q = VecDeque::new();
+                }
+            }
+            self.cursor = at;
+        }
+        self.drain_overflow();
     }
 
     fn pop(&mut self) -> Option<(Steps, Phase, T)> {
@@ -156,8 +192,7 @@ impl<T> Ring<T> {
             if self.ring_len == 0 {
                 // Jump straight to the earliest far-future event.
                 let at = self.overflow.peek()?.0.at;
-                self.cursor = at;
-                self.drain_overflow();
+                self.move_cursor(at);
                 debug_assert!(self.ring_len > 0);
             }
             let slot = &mut self.slots[(self.cursor & self.mask) as usize];
@@ -167,8 +202,7 @@ impl<T> Ring<T> {
                     return Some((Steps(self.cursor), Phase::from_u8(phase as u8), payload));
                 }
             }
-            self.cursor += 1;
-            self.drain_overflow();
+            self.move_cursor(self.cursor + 1);
         }
     }
 
@@ -204,8 +238,7 @@ impl<T> Ring<T> {
             self.next_time().is_none_or(|t| t >= at),
             "advance past a queued event"
         );
-        self.cursor = at;
-        self.drain_overflow();
+        self.move_cursor(at);
     }
 
     fn pop_at(&mut self, at: u64, phase: u8) -> Option<T> {
@@ -385,6 +418,53 @@ mod tests {
         let mut sched = sched;
         sched.sort();
         equivalence_on(&sched, 64);
+    }
+
+    #[test]
+    fn matches_heap_when_slots_refill_across_horizons() {
+        // Hint 4 -> 8 slots. Six events per instant over 40 instants fill,
+        // drain and refill every slot five times, with every 20th event
+        // pushed three horizons ahead through the overflow heap. Push times
+        // stay at or after every popped time, as the engine's do.
+        let sched: Vec<(u64, Phase)> = (0..240u64)
+            .map(|i| {
+                let at = i / 6 + if i % 20 == 19 { 24 } else { 0 };
+                (at, Phase::from_u8((i % 3) as u8))
+            })
+            .collect();
+        equivalence_on(&sched, 4);
+    }
+
+    #[test]
+    fn drained_slot_buffers_are_recycled_into_a_bounded_pool() {
+        let mut t = Timeline::new(TimelineKind::Bucket, 4);
+        let spare = |t: &Timeline<u64>| match &t.imp {
+            Imp::Bucket(ring) => ring.spare.len(),
+            Imp::Heap(_) => unreachable!(),
+        };
+        let mut max_spare = 0;
+        for now in 0..120u64 {
+            t.advance_to(Steps(now));
+            for phase in 0..PHASES as u8 {
+                while t.pop_at(Steps(now), Phase::from_u8(phase)).is_some() {}
+            }
+            // Bursts of every phase into several slots ahead, then a tail
+            // that only drains: more buffers retire than pushes take.
+            for ahead in (1..5).filter(|_| now < 100) {
+                for phase in 0..PHASES as u8 {
+                    for k in 0..(now % 7) {
+                        t.push(Steps(now + ahead), Phase::from_u8(phase), k);
+                    }
+                }
+            }
+            max_spare = max_spare.max(spare(&t));
+            assert!(
+                spare(&t) <= PHASES,
+                "spare pool holds {} buffers",
+                spare(&t)
+            );
+        }
+        assert!(max_spare > 0, "drained buffers reached the pool");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 # bucket-timeline speedup over the binary-heap timeline per workload, and
 # the inline-vs-spill payload ratio. Each must stay within 5% of the
 # committed value (lower bound only — getting faster is not a regression).
-# The `scaling` block is gated structurally: every baseline `p` row must
-# still be present and complete under 60 s, and the small-`p` rows
-# (p <= 10^4, which are stable) must stay within 3x of baseline — large-`p`
-# wall clock swings 2-4x with host noise, so only completion is gated
-# there.
+# The `scaling` block is gated structurally, on the neighbour-ring rows
+# and on the random-cycle rows alike: every baseline `p` row must still be
+# present and complete under 60 s, and the small-`p` rows (p <= 10^4,
+# which are stable) must stay within 3x of baseline — large-`p` wall clock
+# swings 2-4x with host noise, so only completion is gated there.
 #
 # Gate 2 re-runs the `exp_faults` conformance matrix and compares it to
 # BENCH_faults.json *exactly*: verdicts, attempts, and clean/faulted step
@@ -98,25 +98,37 @@ fail |= not ok
 print(f'{"PASS" if ok else "FAIL"} payload: spill/inline ratio {c_ratio:.2f} '
       f'vs baseline {b_ratio:.2f} (floor {limit:.2f})')
 
-if "scaling" in base:
-    SMALL_P, SMALL_TOL, BUDGET_MS = 10_000, 3.0, 60_000.0
-    b_rows = {row["p"]: row["ms"] for row in base["scaling"]["single_shard"]}
-    c_rows = {row["p"]: row["ms"] for row in cur.get("scaling", {}).get("single_shard", [])}
+SMALL_P, SMALL_TOL, BUDGET_MS = 10_000, 3.0, 60_000.0
+
+def scaling_gate(label, base_rows, cur_rows):
+    bad = False
+    b_rows = {row["p"]: row["ms"] for row in base_rows}
+    c_rows = {row["p"]: row["ms"] for row in cur_rows}
     for p in sorted(b_rows):
         if p not in c_rows:
-            print(f"FAIL scaling/p={p}: row missing from current run")
-            fail = True
+            print(f"FAIL {label}/p={p}: row missing from current run")
+            bad = True
             continue
         ms = c_rows[p]
         if ms > BUDGET_MS:
-            print(f"FAIL scaling/p={p}: {ms:.0f} ms exceeds the {BUDGET_MS:.0f} ms budget")
-            fail = True
+            print(f"FAIL {label}/p={p}: {ms:.0f} ms exceeds the {BUDGET_MS:.0f} ms budget")
+            bad = True
         elif p <= SMALL_P and ms > b_rows[p] * SMALL_TOL:
-            print(f"FAIL scaling/p={p}: {ms:.2f} ms vs baseline {b_rows[p]:.2f} ms "
+            print(f"FAIL {label}/p={p}: {ms:.2f} ms vs baseline {b_rows[p]:.2f} ms "
                   f"(ceiling {SMALL_TOL:.0f}x)")
-            fail = True
+            bad = True
         else:
-            print(f"PASS scaling/p={p}: {ms:.2f} ms (baseline {b_rows[p]:.2f} ms)")
+            print(f"PASS {label}/p={p}: {ms:.2f} ms (baseline {b_rows[p]:.2f} ms)")
+    return bad
+
+if "scaling" in base:
+    cur_scaling = cur.get("scaling", {})
+    fail |= scaling_gate("scaling", base["scaling"]["single_shard"],
+                         cur_scaling.get("single_shard", []))
+    if "random_cycle" in base["scaling"]:
+        fail |= scaling_gate("scaling/random_cycle",
+                             base["scaling"]["random_cycle"]["single_shard"],
+                             cur_scaling.get("random_cycle", {}).get("single_shard", []))
 
 sys.exit(1 if fail else 0)
 PY

@@ -7,8 +7,10 @@
 //! `Debug` rendering of every trace event, followed by the report's
 //! SUMMARY fields and per-processor statistics. The constants were taken
 //! from the engine before its per-message state moved into a slab of
-//! handles, and every run must reproduce them at 1 and 4 shards under
-//! both timeline implementations.
+//! handles (the sleepy ring's from the engine before that slab handed out
+//! slots in creation order and the timeline recycled slot buffers), and
+//! every run must reproduce them at 1 and 4 shards under both timeline
+//! implementations.
 
 use bsp_vs_logp::exec::RunOptions;
 use bsp_vs_logp::fault::FaultPlan;
@@ -17,7 +19,7 @@ use bsp_vs_logp::logp::{
     TimelineKind,
 };
 use bsp_vs_logp::model::rngutil::SeedStream;
-use bsp_vs_logp::model::{Payload, ProcId};
+use bsp_vs_logp::model::{Payload, ProcId, Steps};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -77,17 +79,43 @@ fn send(dst: usize, round: usize, word: usize) -> Op {
     }
 }
 
-/// `ring_x4` over a seeded random single cycle (Sattolo's algorithm): four
-/// rounds of send-to-successor then receive.
-fn random_ring_x4(p: usize, seed: u64) -> Vec<Script> {
+/// Successor map of a seeded random single cycle (Sattolo's algorithm).
+fn random_cycle(p: usize, seed: u64) -> Vec<usize> {
     let mut rng = SeedStream::new(seed).derive("golden-cycle", 0);
     let mut next: Vec<usize> = (0..p).collect();
     for i in (1..p).rev() {
         let j = rng.gen_range(0..i);
         next.swap(i, j);
     }
+    next
+}
+
+/// `ring_x4` over a seeded random single cycle: four rounds of
+/// send-to-successor then receive.
+fn random_ring_x4(p: usize, seed: u64) -> Vec<Script> {
+    let next = random_cycle(p, seed);
     (0..p)
         .map(|i| Script::new((0..4).flat_map(|r| [send(next[i], r, i), Op::Recv])))
+        .collect()
+}
+
+/// `ring_x4` over a random cycle where processor `sleeper` sleeps until
+/// `wake` before each receive. Its incoming messages stay buffered while
+/// the rest of the ring churns through new ones, and its wake-ups lie far
+/// beyond the bucket ring's window.
+fn sleepy_ring_x4(p: usize, seed: u64, sleeper: usize, wake: u64) -> Vec<Script> {
+    let next = random_cycle(p, seed);
+    (0..p)
+        .map(|i| {
+            Script::new((0..4).flat_map(|r| {
+                let mut ops = vec![send(next[i], r, i)];
+                if i == sleeper {
+                    ops.push(Op::WaitUntil(Steps(wake * (r as u64 + 1))));
+                }
+                ops.push(Op::Recv);
+                ops
+            }))
+        })
         .collect()
 }
 
@@ -156,6 +184,7 @@ const HOT_SPOT_LIFO: u64 = 0xeb79_61db_8d30_214c;
 const HOT_SPOT_RANDOM: u64 = 0x2f53_67ea_012a_f62c;
 const UNIFORM_ALL_TO_ALL: u64 = 0x1495_5f80_52b0_7cba;
 const FAULTED_HOT_SPOT: u64 = 0xf2b6_0033_6202_09b9;
+const SLEEPY_RING_X4: u64 = 0x6539_05d4_561d_7214;
 
 #[test]
 fn random_cycle_ring_x4_matches_golden() {
@@ -228,5 +257,21 @@ fn faulted_hot_spot_matches_golden() {
         LogpConfig::default(),
         RunOptions::new().faults(Arc::new(plan)),
         stalling_hot_spot(12, 8),
+    );
+}
+
+/// Messages to the sleeping processor outlive many later ones, so a slab
+/// that recycles slots must skip its live slots, and the wake-ups travel
+/// through the bucket timeline's overflow heap.
+#[test]
+fn sleepy_random_cycle_ring_x4_matches_golden() {
+    let p = 1024;
+    check(
+        "sleepy_ring_x4",
+        SLEEPY_RING_X4,
+        LogpParams::new(p, 16, 1, 2).unwrap(),
+        LogpConfig::default(),
+        RunOptions::new(),
+        sleepy_ring_x4(p, 802, 7, 5_000),
     );
 }
