@@ -22,9 +22,10 @@
 //!   time of a fixed-rounds ring versus machine size `p` from 64 to 10⁶ by
 //!   decades, the same ring over a seeded random single cycle at 10⁴–10⁶
 //!   (every delivery then touches a far-away processor, so the rows show
-//!   what memory locality costs at large `p`), plus shards-vs-speedup rows
-//!   at `p = 10⁵` (skipped with a notice when the host has fewer than two
-//!   cores).
+//!   what memory locality costs at large `p`), plus the 2-shard speedup
+//!   on the random cycle at `p = 10⁶`, 1- and 2-shard reps interleaved,
+//!   fastest of 3 per side (skipped with a notice when the host has fewer
+//!   than two cores).
 //!
 //! Wall-clock numbers are environment-dependent; the JSON records the host
 //! parallelism next to them. Run via `scripts/regen_experiments.sh` or:
@@ -301,6 +302,9 @@ fn random_cycle(p: usize) -> Vec<usize> {
 /// Seed of the random-cycle scaling rows.
 const SCALING_SEED: u64 = 14;
 
+/// Reps per side of the shard-speedup leg.
+const SHARD_REPS: usize = 3;
+
 /// Wall time of one ring run under `shards` shards, where processor `i`
 /// sends to `next[i]`, excluding machine construction (the curve tracks
 /// engine throughput, not allocation).
@@ -362,26 +366,27 @@ fn scaling_section() -> String {
     );
     let random_rows = scaling_rows("random_cycle", &[10_000, 100_000, 1_000_000], random_cycle);
     let shard_json = if host >= 2 {
-        let p = 100_000;
-        let ring = neighbour_ring(p);
-        let base = ring_time_ms(&ring, 1);
-        let mut srows = vec![format!(
-            "      {{\"shards\": 1, \"ms\": {base:.3}, \"speedup\": 1.0}}"
-        )];
-        for shards in [2usize, 4] {
-            let ms = ring_time_ms(&ring, shards);
-            eprintln!(
-                "scaling/shards: p = {p}, {shards} shards {ms:.1} ms, speedup {:.2}x",
-                base / ms
-            );
-            srows.push(format!(
-                "      {{\"shards\": {shards}, \"ms\": {ms:.3}, \"speedup\": {:.3}}}",
-                base / ms
-            ));
+        // The 1- and 2-shard reps alternate and each side keeps its
+        // fastest, so a slow spell on a shared host hits both sides.
+        let p = 1_000_000;
+        let ring = random_cycle(p);
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..SHARD_REPS {
+            for (side, shards) in [1usize, 2].into_iter().enumerate() {
+                best[side] = best[side].min(ring_time_ms(&ring, shards));
+            }
         }
+        let speedup = best[0] / best[1];
+        eprintln!(
+            "scaling/shards: random cycle p = {p}, 1 shard {:.1} ms, 2 shards {:.1} ms, \
+             speedup {speedup:.2}x",
+            best[0], best[1]
+        );
         format!(
-            "\"shard_speedup\": {{\"p\": {p}, \"rows\": [\n{}\n    ]}}",
-            srows.join(",\n")
+            "\"shard_speedup\": {{\"p\": {p}, \"ring\": \"random_cycle\", \"reps\": {SHARD_REPS}, \
+             \"rows\": [\n      {{\"shards\": 1, \"ms\": {:.3}, \"speedup\": 1.0}},\n      \
+             {{\"shards\": 2, \"ms\": {:.3}, \"speedup\": {speedup:.3}}}\n    ]}}",
+            best[0], best[1]
         )
     } else {
         eprintln!("scaling/shards: single-core host, shard-speedup leg skipped");

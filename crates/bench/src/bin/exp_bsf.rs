@@ -14,6 +14,8 @@
 //! ```
 
 use bvl_bench::{banner, labexp, obs, print_table, scn};
+use bvl_scenario::Work;
+use bvl_workloads::BsfParams;
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
@@ -40,7 +42,20 @@ fn main() {
     let curve_ok = if smoke {
         true
     } else {
-        let pstar = labexp::bsf::base().optimal_workers();
+        // Every cell shares units, t_t and t_w, so any cell's farm names p*.
+        let pstar = match scenario.grids[0].work[0] {
+            Work::Bsf {
+                workers,
+                units,
+                tt,
+                tw,
+                ts,
+                iters,
+            } => BsfParams::new(workers, units, tt, tw, ts, iters)
+                .expect("shipped BSF cell valid")
+                .optimal_workers(),
+            _ => unreachable!("bsf.scn holds bsf cells"),
+        };
         let at = |i: usize| num(&rows[i], 3);
         let dip = (0..rows.len())
             .min_by(|&a, &b| at(a).total_cmp(&at(b)))

@@ -8,8 +8,8 @@
 //! by measuring the 1-relation (ℓ-like) and saturation (g-like) regimes.
 //!
 //! The grids are compiled from `scenarios/table1.scn` (the declarative
-//! scenario plane; `lab validate` proves the document lowers to the same
-//! grids as [`bvl_bench::labexp::table1`], bit for bit) and run through
+//! scenario plane; `lab validate` proves the document still lowers to its
+//! golden grid digests) and run through
 //! the `bvl-lab` scheduler: uncached by default (identical to the old
 //! sweep path), incremental against the persistent result store when
 //! `BVL_LAB_DIR` is set — this binary is the repo's heaviest, and a warm

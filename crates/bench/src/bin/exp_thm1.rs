@@ -7,17 +7,18 @@
 //! constants) the `1 + g/G + ℓ/L` bound, and be flat along the matched
 //! diagonal — the paper's "substantial equivalence" claim.
 //!
-//! The grids are compiled from `scenarios/thm1.scn` (validated against
-//! [`bvl_bench::labexp::thm1`] bit for bit) and run through the `bvl-lab`
+//! The grids are compiled from `scenarios/thm1.scn` (pinned by golden
+//! grid digests, see `lab validate`) and run through the `bvl-lab`
 //! scheduler (cached when `BVL_LAB_DIR` is set). The flagged attribution
 //! cell is *forced*: it recomputes live on every run, because its enabled
 //! registry feeds the cost-attribution SUMMARY and the optional
 //! `--trace-out` export. Completed grids pass the Theorem 1 lower-bound
 //! audit before printing.
 
-use bvl_bench::labexp::{self, single_rows, thm1};
+use bvl_bench::labexp::{self, single_rows};
 use bvl_bench::{banner, obs, print_table, scn};
 use bvl_obs::Counter;
+use bvl_scenario::Work;
 
 fn main() {
     let lab = labexp::Lab::from_env();
@@ -27,7 +28,11 @@ fn main() {
     // Cell 0 (ring, matched 1x/1x parameters) is the flagged cell: it runs
     // with this enabled registry, feeding the cost-attribution summary and
     // the optional `--trace-out` export; every other cell pays nothing.
-    let captured = obs::capture_registry("exp_thm1", 0, thm1::reference_params().p);
+    let p = match scenario.grids[0].work[0] {
+        Work::Host { logp, .. } => logp.p,
+        _ => unreachable!("thm1.scn opens with host cells"),
+    };
+    let captured = obs::capture_registry("exp_thm1", 0, p);
     let (rep, att) = scn::run_in_lab(&lab, &scenario.grids[0], Some(&captured));
     eprintln!("[sweep] thm1-scalings: {}", rep.summary());
     print_table(

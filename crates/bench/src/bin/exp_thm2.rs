@@ -7,8 +7,8 @@
 //! `O(log p)` for small h and flattens towards `O(1)` as `h` grows — the
 //! crossover the `S` column exhibits.
 //!
-//! The grids are compiled from `scenarios/thm2.scn` (validated against
-//! [`bvl_bench::labexp::thm2`] bit for bit) and run through the `bvl-lab`
+//! The grids are compiled from `scenarios/thm2.scn` (pinned by golden
+//! grid digests, see `lab validate`) and run through the `bvl-lab`
 //! scheduler (cached when `BVL_LAB_DIR` is set). The two span-exporting
 //! cells — the `(16, 8)` phase breakdown and the deterministic strategy —
 //! are *forced*: they recompute live so their registries carry real spans

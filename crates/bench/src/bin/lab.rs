@@ -3,8 +3,7 @@
 //! ```sh
 //! lab run <exp|all> [--smoke]   # run grids through the store (incremental)
 //! lab run --scenario F [--smoke] # run a scenario document as data
-//! lab validate                  # shipped .scn == legacy grids, bit for bit
-//! lab emit <name>               # print the reference scenario document
+//! lab validate                  # shipped .scn files == golden digests
 //! lab audit [--bench F]         # lower-bound audit over exported results
 //! lab status                    # store summary: cells, segments, staleness
 //! lab query <exp>               # dump an experiment's cached cells
@@ -16,28 +15,26 @@
 //! Every store-touching subcommand takes `--dir <path>`; the default is
 //! `$BVL_LAB_DIR`, falling back to `.lab`. The same directory is what the
 //! `exp_*` binaries read and write when run with `BVL_LAB_DIR` set, so a
-//! store warmed by `lab run` accelerates them and vice versa — the grids
-//! (and therefore the cache keys) are shared via `bvl_bench::scn`, which
-//! compiles the checked-in `scenarios/*.scn` documents. An argument no
+//! store warmed by `lab run` accelerates them and vice versa — both compile
+//! the same checked-in `scenarios/*.scn` documents (`bvl_bench::scn`), so
+//! they share grids and therefore cache keys. An argument no
 //! subcommand takes prints the usage and exits 2.
 
-use bvl_bench::{labexp, print_table, scn};
+use bvl_bench::{print_table, scn};
 use bvl_lab::jsonio::Cursor;
 use bvl_lab::{serve, CodeFingerprint, OnStale, Service, Store};
 use bvl_obs::Registry;
-use bvl_scenario::grid_digest;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lab <run|validate|emit|audit|status|query|diff|gc|serve> [args]\n\
+        "usage: lab <run|validate|audit|status|query|diff|gc|serve> [args]\n\
          \n\
          lab run <exp|all> [--smoke] [--dir D]   incremental grid run\n\
          lab run --scenario F [--smoke] [--dir D] run a scenario document\n\
-         lab validate                            shipped scenarios vs legacy grids\n\
-         lab emit <name>                         print the reference scenario text\n\
+         lab validate                            shipped scenarios vs golden digests\n\
          lab audit [--bench F]                   audit a BENCH_*.json export: the\n\
                                                  faults conformance lower bounds, or\n\
                                                  any file's acceptance block per-gate\n\
@@ -51,7 +48,7 @@ fn usage() -> ! {
          --obs-tier T, which the experiment cells read\n\
          \n\
          experiments: {}",
-        labexp::experiments()
+        scn::experiments()
             .iter()
             .map(|e| e.name().to_string())
             .collect::<Vec<_>>()
@@ -114,7 +111,7 @@ fn open(dir: &Path, on_stale: OnStale) -> Store {
 }
 
 fn service(store: Store) -> Service {
-    Service::new(store, Registry::enabled(1), labexp::experiments())
+    Service::new(store, Registry::enabled(1), scn::experiments())
         .with_scenario_runner(Box::new(scn::Runner))
 }
 
@@ -417,52 +414,26 @@ fn main() {
         }
         "validate" => {
             no_leftovers(&args);
-            // Prove the checked-in scenario documents against the legacy
-            // code-defined grids: same documents as the reference
-            // builders, and bit-identical compiled grids (exp, master,
-            // canonical options, cells and store keys) in both modes.
-            let mut rows = Vec::new();
-            let mut bad = 0usize;
-            for (name, _) in scn::SHIPPED {
-                if scn::doc(name) != scn::reference(name) {
-                    rows.push(vec![name.into(), "-".into(), "-".into(), "DOC DRIFT".into()]);
-                    bad += 1;
-                    continue;
-                }
-                for smoke in [false, true] {
-                    let mode = if smoke { "smoke" } else { "full" };
-                    let compiled = scn::compiled(name, smoke);
-                    let legacy = scn::legacy_grids(name, smoke).expect("shipped name");
-                    let cells: usize = compiled.grids.iter().map(|g| g.spec.cells.len()).sum();
-                    let ok = compiled.grids.len() == legacy.len()
-                        && compiled
-                            .grids
-                            .iter()
-                            .zip(&legacy)
-                            .all(|(cg, lg)| grid_digest(&cg.spec) == grid_digest(lg));
-                    if !ok {
-                        bad += 1;
-                    }
-                    rows.push(vec![
-                        name.into(),
-                        mode.into(),
-                        format!("{} grid(s), {cells} cell(s)", compiled.grids.len()),
-                        if ok { "ok".into() } else { "DIGEST MISMATCH".into() },
-                    ]);
-                }
-            }
+            // Each shipped document parses, round-trips, compiles in both
+            // modes and lowers to its committed golden grid digests.
+            let checks = scn::check_shipped();
+            let rows: Vec<Vec<String>> = checks
+                .iter()
+                .map(|c| {
+                    vec![
+                        c.name.into(),
+                        c.mode.into(),
+                        format!("{} grid(s), {} cell(s)", c.grids, c.cells),
+                        c.problem.clone().unwrap_or_else(|| "ok".into()),
+                    ]
+                })
+                .collect();
             print_table(&["scenario", "mode", "compiled", "status"], &rows);
+            let bad = checks.iter().filter(|c| c.problem.is_some()).count();
             if bad > 0 {
-                eprintln!("lab: {bad} scenario lowering(s) diverge from the legacy grids");
+                eprintln!("lab: {bad} shipped scenario check(s) failed");
                 exit(1);
             }
-        }
-        "emit" => {
-            let Some(name) = args.first().cloned() else {
-                usage();
-            };
-            no_leftovers(&args[1..]);
-            print!("{}", scn::reference(&name).to_text());
         }
         "audit" => {
             let path = take_flag(&mut args, "--bench").unwrap_or_else(|| "BENCH_faults.json".into());

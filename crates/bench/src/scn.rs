@@ -1,20 +1,20 @@
 //! The shipped scenario documents and their runner.
 //!
-//! This module is the bridge between the declarative scenario plane
-//! (`bvl-scenario`) and the row-builders in [`crate::labexp`]:
+//! The checked-in `scenarios/*.scn` files are the only definition of the
+//! lab grids. This module bridges them to the row builders in
+//! [`crate::labexp`]:
 //!
-//! * [`SHIPPED`] embeds the checked-in `scenarios/*.scn` files;
-//!   [`reference()`] rebuilds the same documents from the legacy
-//!   configuration lists, and the tests prove `doc(name) ==
-//!   reference(name)` — the text files are the source of truth, the code
-//!   is the oracle.
-//! * [`run_work`] dispatches a compiled [`Work`] item to the shared row
-//!   helper it describes, preserving the legacy seeding and registry
-//!   contract exactly.
+//! * [`SHIPPED`] embeds the documents, and [`GOLDEN`] pins each compiled
+//!   grid by its `grid_digest`. [`check_shipped`] (run by `lab validate`
+//!   and a unit test) proves every document parses, round-trips, compiles
+//!   in both modes and still lowers to its golden digests.
+//! * [`run_work`] dispatches a compiled [`Work`] item to the row builder
+//!   it describes.
 //! * [`experiments`] packages every shipped scenario behind
 //!   [`bvl_lab::Experiment`] (including the lower-bound `audit` hook), and
 //!   [`Runner`] implements [`bvl_lab::ScenarioRunner`] so `POST /run` and
-//!   `lab run --scenario` accept arbitrary scenario documents as data.
+//!   `lab run --scenario` accept arbitrary scenario documents as data,
+//!   rejecting any cell [`check_work`] refuses before one runs.
 //!
 //! Every completed grid is audited against the Bilardi–Scquizzato–
 //! Silvestri-style communication lower bounds (`bvl_scenario::bounds`): a
@@ -22,24 +22,21 @@
 //! run, on every front end.
 
 use crate::labexp;
-use bvl_core::{RoutingStrategy, SortScheme};
-use bvl_fault::Case;
+use bvl_core::{deterministic_routable, RoutingStrategy, SortScheme};
+use bvl_fault::{Case, FaultPlan};
 use bvl_lab::{
     run_grid, CellSpec, Experiment, GridReport, GridSpec, Job, ScenarioError, ScenarioRunner, Store,
 };
-use bvl_logp::LogpParams;
-use bvl_net::PortMode;
+use bvl_model::ModelError;
 use bvl_obs::{CostReport, Registry, Tier};
 use bvl_scenario::{
-    compile, parse, CellDoc, CompiledGrid, CompiledScenario, GridDoc, HostWl, Net, OnlyIn,
-    ScenarioDoc, Scheme, Strategy, SuperWl, View, Violation, Work,
+    compile, grid_digest, parse, CompiledGrid, CompiledScenario, HostWl, ScenarioDoc, Scheme,
+    Strategy, View, Violation, Work,
 };
 use std::sync::Mutex;
 
 /// The shipped scenario sources, embedded so every binary finds them
-/// regardless of working directory. The on-disk `scenarios/*.scn` files
-/// are the checked-in form; `lab emit <name>` regenerates them from
-/// [`reference()`].
+/// regardless of working directory.
 pub const SHIPPED: [(&str, &str); 9] = [
     ("table1", include_str!("../../../scenarios/table1.scn")),
     ("thm1", include_str!("../../../scenarios/thm1.scn")),
@@ -69,373 +66,181 @@ pub fn compiled(name: &str, smoke: bool) -> CompiledScenario {
         .unwrap_or_else(|e| panic!("shipped scenario '{name}' does not compile: {e}"))
 }
 
-fn mode_str(mode: PortMode) -> &'static str {
-    match mode {
-        PortMode::Multi => "multi",
-        PortMode::Single => "single",
-    }
+/// The committed [`grid_digest`] of every grid of every shipped scenario:
+/// `(name, full-mode digests, smoke-mode digests)`, one per compiled grid in
+/// declaration order. A digest folds in each cell's domain, index, params,
+/// fault plan, options and force flag, so it pins cell counts, forced cells
+/// and plan lines. Recompute a golden only for a deliberate `.scn` edit.
+pub const GOLDEN: [(&str, &[&str], &[&str]); 9] = [
+    (
+        "table1",
+        &[
+            "706bb9236acaaea367cef0e80160e6c2",
+            "b20e5f0047de8ff494cdaf9fe147e573",
+            "b435b7c2869370f8ab989398e8cc36ec",
+            "1a09e906cd978b877431da3b2f912664",
+        ],
+        &["086440b1bdfc3fbaf401636cb641cadc", "1a09e906cd978b877431da3b2f912664"],
+    ),
+    (
+        "thm1",
+        &["6b84ff060109cfeab00cc9e187bceece", "b1ec371d844e20a02ec7991e237da346"],
+        &["7ebb253ac933dab213f910aeb9d671c4", "5a69d291811bcaf75e0684378666984b"],
+    ),
+    (
+        "thm2",
+        &[
+            "6c70841a0394753978e97f9fa582f4b7",
+            "812c1fb9c989d16b2bcd386abb29119d",
+            "ec25a904401e8c8efb3f3de5010ec61e",
+        ],
+        &[
+            "344704f44eac4b1ccb9d31c97e58d8ad",
+            "d172f0a9843180b31fef4f20e0a335b5",
+            "3e814b875ba10cf645a7f1d561a2d009",
+        ],
+    ),
+    (
+        "faults",
+        &["bff0978a78ecc8ec5956791acfaf2eb8"],
+        &["0053f640fdc254df86059f606210f72d"],
+    ),
+    (
+        "stack",
+        &["4a27b6d484185eb4ee42b214cfb6bdc8"],
+        &["c71823d8f51f488ceaafdd68895d981f"],
+    ),
+    (
+        "scaling",
+        &["b20e5f0047de8ff494cdaf9fe147e573"],
+        &["086440b1bdfc3fbaf401636cb641cadc"],
+    ),
+    (
+        "sort",
+        &["d85308f0648dc96fa6288be0f26f3f80"],
+        &["85e5c0b805c9036b2591fae5bad5e4d8"],
+    ),
+    (
+        "stream",
+        &["f982571c726c9e04fe3d4033f7d104dc"],
+        &["0abf00ffa05fa00df30d5869bbfe796e"],
+    ),
+    (
+        "bsf",
+        &["ebf82dbc810553f1055fdaad11498ec7"],
+        &["e6794d16595e366b4fe15a2dcffc07f8"],
+    ),
+];
+
+/// One line of [`check_shipped`]: a shipped scenario in one mode.
+pub struct Check {
+    /// Scenario name.
+    pub name: &'static str,
+    /// `full`, `smoke`, or `-` when the document itself is broken.
+    pub mode: &'static str,
+    /// Compiled grid count.
+    pub grids: usize,
+    /// Compiled cell count.
+    pub cells: usize,
+    /// What failed, if anything.
+    pub problem: Option<String>,
 }
 
-fn table1_main_doc() -> GridDoc {
-    let mut g = GridDoc::new("table1", 42).domain("table1");
-    for (net, family, mode) in labexp::table1::main_configs() {
-        g = g.cell(CellDoc::new(
-            Work::Measure {
-                net,
-                mode,
-                seed: 42,
-                view: View::Main { family },
-            },
-            format!("{} {} {}", family.label(), net.tag(), mode_str(mode)),
-        ));
-    }
-    g
-}
-
-fn scaling_doc() -> GridDoc {
-    let mut g = GridDoc::new("table1", 7).domain("table1-scaling");
-    for (i, (net, family, label)) in labexp::table1::scaling_configs().into_iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Measure {
-                net,
-                mode: PortMode::Multi,
-                seed: 7,
-                view: View::Scaling {
-                    family,
-                    label: label.to_string(),
-                },
-            },
-            format!("{label} {}", net.tag()),
-        );
-        if i == 0 || i == 3 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn obs1_doc() -> GridDoc {
-    let mut g = GridDoc::new("table1", 9).domain("table1-obs1");
-    for (net, name) in labexp::table1::obs1_configs() {
-        g = g.cell(CellDoc::new(
-            Work::Measure {
-                net,
-                mode: PortMode::Multi,
-                seed: 9,
-                view: View::Obs1 {
-                    label: name.to_string(),
-                },
-            },
+/// Check every shipped scenario: it parses, round-trips through
+/// `to_text()` and `repro()`, compiles in both modes, and each compiled
+/// grid matches its [`GOLDEN`] digest. `lab validate` prints this; a unit
+/// test requires it clean.
+pub fn check_shipped() -> Vec<Check> {
+    let mut out = Vec::new();
+    for (name, text) in SHIPPED {
+        let broken = |problem: String| Check {
             name,
-        ));
-    }
-    g
-}
-
-fn k6_doc() -> GridDoc {
-    GridDoc::new("table1", 11).domain("table1-k6").cell(
-        CellDoc::new(
-            Work::Measure {
-                net: Net::Hypercube(6),
-                mode: PortMode::Multi,
-                seed: 11,
-                view: View::K6 {
-                    label: "hypercube_k6".into(),
-                },
-            },
-            "hypercube(6) multi",
-        )
-        .smoke(),
-    )
-}
-
-fn host_work(case: &labexp::thm1::Case) -> Work {
-    Work::Host {
-        logp: case.logp,
-        fg: case.factor_g,
-        fl: case.factor_l,
-        wl: match case.workload {
-            labexp::thm1::Workload::Ring { rounds, .. } => HostWl::Ring {
-                rounds: rounds as u64,
-            },
-            labexp::thm1::Workload::AllToAll { .. } => HostWl::AllToAll,
-        },
-    }
-}
-
-fn thm1_scalings_doc() -> GridDoc {
-    let mut g = GridDoc::new("thm1", 1996).domain("thm1-scalings");
-    for (i, case) in labexp::thm1::scaling_cases().into_iter().enumerate() {
-        let mut c = CellDoc::new(
-            host_work(&case),
-            format!(
-                "{} {}x/{}x",
-                case.workload.name(),
-                case.factor_g,
-                case.factor_l
-            ),
-        );
-        if i == 0 {
-            c = c.forced();
-        } else if i <= 2 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn thm1_sizes_doc() -> GridDoc {
-    let mut g = GridDoc::new("thm1", 1996).domain("thm1-sizes");
-    for (i, case) in labexp::thm1::size_cases().into_iter().enumerate() {
-        let mut c = CellDoc::new(host_work(&case), format!("ring p={} 1x/1x", case.logp.p));
-        if i <= 1 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn thm2_cells_doc() -> GridDoc {
-    let mut g = GridDoc::new("thm2", 2024).domain("thm2-cells");
-    for (i, (p, h)) in labexp::thm2::cell_shapes().into_iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Route {
-                logp: LogpParams::new(p, 16, 1, 2).unwrap(),
-                h,
-                scheme: Scheme::Network,
-                seed: 7,
-            },
-            format!("p={p} h={h}"),
-        );
-        if i == 3 {
-            c = c.forced();
-        } else if i < 3 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn thm2_big_doc() -> GridDoc {
-    let mut g = GridDoc::new("thm2", 2024).domain("thm2-big");
-    for (i, h) in labexp::thm2::BIG_HS.into_iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::RouteBig {
-                logp: LogpParams::new(labexp::thm2::BIG_P, 16, 1, 2).unwrap(),
-                h,
-                seed: 9,
-            },
-            format!("p={} h={h}", labexp::thm2::BIG_P),
-        );
-        if i == 0 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn thm2_strategies_doc() -> GridDoc {
-    let mut g = GridDoc::new("thm2", 2024).domain("thm2-strategies");
-    for (i, (name, strategy)) in labexp::thm2::strategies().into_iter().enumerate() {
-        let strategy = match strategy {
-            RoutingStrategy::Offline => Strategy::Offline,
-            RoutingStrategy::Randomized { slack } => Strategy::Randomized {
-                slack: slack as u64,
-            },
-            RoutingStrategy::Deterministic(_) => Strategy::Deterministic,
+            mode: "-",
+            grids: 0,
+            cells: 0,
+            problem: Some(problem),
         };
-        let mut c = CellDoc::new(
-            Work::Superstep {
-                logp: LogpParams::new(16, 16, 1, 2).unwrap(),
-                strategy,
-                wl: SuperWl::Mod7Fan,
-            },
-            format!("strategy={name}"),
-        );
-        if i == 2 {
-            c = c.forced();
-        } else if i == 0 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn faults_doc(smoke: bool) -> GridDoc {
-    let (domain, only) = if smoke {
-        ("faults-smoke", OnlyIn::Smoke)
-    } else {
-        ("faults-full", OnlyIn::Full)
-    };
-    let mut g = GridDoc::new("faults", 100).domain(domain).only(only);
-    for case in labexp::faults::cases(smoke) {
-        g = g.cell(
-            CellDoc::new(
-                Work::Conformance {
-                    sim: case.sim,
-                    p: case.p,
-                    h: case.h,
-                    seed: case.seed,
-                },
-                format!(
-                    "sim={} p={} h={} seed={}",
-                    case.sim, case.p, case.h, case.seed
-                ),
-            )
-            .plan(case.plan.clone()),
-        );
-    }
-    g
-}
-
-fn stack_doc() -> GridDoc {
-    let mut g = GridDoc::new("stack", labexp::stack::SEED).domain("stack");
-    g.seed = Some(labexp::stack::SEED);
-    for (i, (net, params)) in labexp::stack::nets().into_iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Stack {
-                net,
-                rounds: labexp::stack::ROUNDS,
-                seed: labexp::stack::SEED,
-            },
-            params,
-        );
-        if i == 0 {
-            c = c.smoke();
-        } else {
-            c = c.forced();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn sort_doc() -> GridDoc {
-    let mut g = GridDoc::new("sort", labexp::sort::SEED).domain("sort");
-    for (i, cfg) in labexp::sort::configs().iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Sort {
-                p: cfg.p,
-                n: cfg.n,
-                g: cfg.g,
-                l: cfg.l,
-                seed: cfg.seed,
-            },
-            labexp::sort::params_of(cfg),
-        );
-        if i <= 1 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn stream_doc() -> GridDoc {
-    let mut g = GridDoc::new("stream", labexp::stream::SEED).domain("stream");
-    for (i, cfg) in labexp::stream::configs().iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Stream {
-                p: cfg.sort.p,
-                n: cfg.sort.n,
-                window: cfg.window,
-                g: cfg.sort.g,
-                l: cfg.sort.l,
-                seed: cfg.sort.seed,
-            },
-            labexp::stream::params_of(cfg),
-        );
-        if i == 0 || i == 3 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-fn bsf_doc() -> GridDoc {
-    let mut g = GridDoc::new("bsf", 1996).domain("bsf");
-    for (i, cfg) in labexp::bsf::configs().iter().enumerate() {
-        let mut c = CellDoc::new(
-            Work::Bsf {
-                workers: cfg.workers,
-                units: cfg.units,
-                tt: cfg.tt,
-                tw: cfg.tw,
-                ts: cfg.ts,
-                iters: cfg.iters,
-            },
-            labexp::bsf::params_of(cfg),
-        );
-        if i == 2 || i == 3 {
-            c = c.smoke();
-        }
-        g = g.cell(c);
-    }
-    g
-}
-
-/// The code-defined reference document for shipped scenario `name`, built
-/// from the same configuration lists as the legacy grid builders. This is
-/// the oracle the checked-in `.scn` files are proven against (`doc(name)
-/// == reference(name)` is tested) and what `lab emit <name>` prints.
-pub fn reference(name: &str) -> ScenarioDoc {
-    match name {
-        "table1" => ScenarioDoc::new("table1")
-            .grid(table1_main_doc())
-            .grid(scaling_doc())
-            .grid(obs1_doc())
-            .grid(k6_doc()),
-        // The standalone scaling scenario reuses the table1-scaling grid
-        // verbatim (same exp, master, domains), so it shares cache keys
-        // with the full table1 run — the exemplar for carving a focused
-        // scenario out of a bigger experiment as pure data.
-        "scaling" => ScenarioDoc::new("scaling").grid(scaling_doc()),
-        "thm1" => ScenarioDoc::new("thm1")
-            .grid(thm1_scalings_doc())
-            .grid(thm1_sizes_doc()),
-        "thm2" => ScenarioDoc::new("thm2")
-            .grid(thm2_cells_doc())
-            .grid(thm2_big_doc())
-            .grid(thm2_strategies_doc()),
-        "faults" => ScenarioDoc::new("faults")
-            .grid(faults_doc(true))
-            .grid(faults_doc(false)),
-        "stack" => ScenarioDoc::new("stack").grid(stack_doc()),
-        "sort" => ScenarioDoc::new("sort").grid(sort_doc()),
-        "stream" => ScenarioDoc::new("stream").grid(stream_doc()),
-        "bsf" => ScenarioDoc::new("bsf").grid(bsf_doc()),
-        other => panic!("unknown shipped scenario '{other}'"),
-    }
-}
-
-/// The legacy code-defined grids for shipped scenario `name` — the oracle
-/// `lab validate` and the equivalence tests diff compiled digests against.
-pub fn legacy_grids(name: &str, smoke: bool) -> Option<Vec<GridSpec>> {
-    match name {
-        "table1" => Some(labexp::table1::grids(smoke)),
-        "thm1" => Some(labexp::thm1::grids(smoke)),
-        "thm2" => Some(labexp::thm2::grids(smoke)),
-        "faults" => Some(vec![labexp::faults::grid(smoke)]),
-        "stack" => Some(labexp::stack::grids(smoke)),
-        "sort" => Some(labexp::sort::grids(smoke)),
-        "stream" => Some(labexp::stream::grids(smoke)),
-        "bsf" => Some(labexp::bsf::grids(smoke)),
-        "scaling" => {
-            let mut g = labexp::table1::scaling_grid();
-            if smoke {
-                g.cells.retain(|c| c.index == 0 || c.index == 3);
+        let Some((_, full, smoke)) = GOLDEN.iter().find(|(n, _, _)| *n == name) else {
+            out.push(broken("no golden digests".into()));
+            continue;
+        };
+        let doc = match parse(text) {
+            Ok(doc) => doc,
+            Err(e) => {
+                out.push(broken(e.to_string()));
+                continue;
             }
-            Some(vec![g])
+        };
+        if parse(&doc.to_text()).as_ref() != Ok(&doc) {
+            out.push(broken("to_text() does not round-trip".into()));
         }
-        _ => None,
+        if parse(&doc.repro()).as_ref() != Ok(&doc) {
+            out.push(broken("repro() does not round-trip".into()));
+        }
+        for (mode, golden) in [("full", full), ("smoke", smoke)] {
+            let check = match compile(&doc, mode == "smoke") {
+                Ok(c) => {
+                    let digests: Vec<String> =
+                        c.grids.iter().map(|g| grid_digest(&g.spec)).collect();
+                    Check {
+                        name,
+                        mode,
+                        grids: c.grids.len(),
+                        cells: c.cells(),
+                        problem: (digests != *golden).then(|| {
+                            format!("digests {} differ from the golden", digests.join(" "))
+                        }),
+                    }
+                }
+                Err(e) => Check {
+                    mode,
+                    ..broken(e.to_string())
+                },
+            };
+            out.push(check);
+        }
     }
+    out
+}
+
+/// Reject a cell its owning crate would refuse, before any cell runs. A
+/// scenario document is untrusted input: a bad parameter must come back as
+/// an error, not as a panic on a worker thread.
+pub fn check_work(work: &Work, cell: &CellSpec) -> Result<(), String> {
+    match work {
+        Work::Route { logp, .. }
+        | Work::RouteBig { logp, .. }
+        | Work::Superstep {
+            logp,
+            strategy: Strategy::Deterministic,
+            ..
+        } => deterministic_routable(logp.p),
+        Work::Conformance { .. } => match cell.plan.as_deref().map(str::parse::<FaultPlan>) {
+            Some(Ok(_)) => Ok(()),
+            Some(Err(e)) => Err(ModelError::InvalidParams(format!("bad fault plan: {e}"))),
+            None => Err(ModelError::InvalidParams("a conformance cell needs plan=".into())),
+        },
+        Work::Sort { p, n, g, l, seed } | Work::Stream { p, n, g, l, seed, .. } => {
+            bvl_workloads::SortConfig {
+                p: *p,
+                n: *n,
+                g: *g,
+                l: *l,
+                seed: *seed,
+            }
+            .check()
+        }
+        Work::Bsf {
+            workers,
+            units,
+            tt,
+            tw,
+            ts,
+            iters,
+        } => bvl_workloads::BsfParams::new(*workers, *units, *tt, *tw, *ts, *iters).map(drop),
+        _ => Ok(()),
+    }
+    .map_err(|e| format!("cell {}[{}]: {e}", cell.domain, cell.index))
 }
 
 /// The work item behind `cell` in a compiled grid.
@@ -448,11 +253,11 @@ pub fn work_for<'a>(grid: &'a CompiledGrid, cell: &CellSpec) -> &'a Work {
         .unwrap_or_else(|| panic!("cell {}[{}] not in compiled grid", cell.domain, cell.index))
 }
 
-/// Compute one cell from its typed work description. `captured` follows
-/// the legacy contract: it attaches to the options of forced cells only
-/// (the binaries pass their span-export registry; the service passes
-/// `None` — forced cells still run live, and their rows are
-/// registry-independent by the determinism contract).
+/// Compute one cell from its typed work description. `captured` attaches
+/// to the options of forced cells only (the binaries pass their
+/// span-export registry; the service passes `None` — forced cells still
+/// run live, and their rows are registry-independent by the determinism
+/// contract).
 pub fn run_work(
     work: &Work,
     cell: &CellSpec,
@@ -543,9 +348,8 @@ pub fn run_work(
             let plan = cell
                 .plan
                 .as_deref()
-                .expect("conformance cell carries a plan")
-                .parse()
-                .expect("conformance plan parses");
+                .and_then(|plan| plan.parse().ok())
+                .expect("conformance cells carry a plan (check_work rejects any without)");
             let case = Case {
                 sim: *sim,
                 p: *p,
@@ -682,7 +486,7 @@ impl Experiment for ScenarioExperiment {
         let compiled = if smoke { &self.smoke } else { &self.full };
         compiled.grids.iter().map(|g| g.spec.clone()).collect()
     }
-    fn run_cell(&self, cell: &CellSpec, job: Job) -> Vec<Vec<String>> {
+    fn cell_rows(&self, cell: &CellSpec, job: Job) -> Vec<Vec<String>> {
         run_work(self.work_of(cell), cell, job, None).0
     }
     fn audit(&self, grid: &GridSpec, rows: &[Vec<Vec<String>>]) -> Vec<String> {
@@ -721,6 +525,11 @@ impl ScenarioRunner for Runner {
     ) -> Result<(String, GridReport), ScenarioError> {
         let doc = parse(text).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
         let compiled = compile(&doc, smoke).map_err(|e| ScenarioError::Invalid(e.to_string()))?;
+        for grid in &compiled.grids {
+            for (cell, work) in grid.spec.cells.iter().zip(&grid.work) {
+                check_work(work, cell).map_err(ScenarioError::Invalid)?;
+            }
+        }
         let mut merged = GridReport::empty();
         for grid in &compiled.grids {
             let mut spec = grid.spec.clone();
@@ -753,47 +562,26 @@ impl ScenarioRunner for Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvl_scenario::grid_digest;
-
-    const NAMES: [&str; 9] = [
-        "table1", "thm1", "thm2", "faults", "stack", "scaling", "sort", "stream", "bsf",
-    ];
 
     #[test]
-    fn shipped_documents_match_their_reference() {
-        for name in NAMES {
-            assert_eq!(doc(name), reference(name), "scenario '{name}' drifted");
+    fn shipped_scenarios_match_their_golden_digests() {
+        let checks = check_shipped();
+        assert_eq!(checks.len(), 2 * SHIPPED.len(), "one line per scenario and mode");
+        for c in &checks {
+            assert!(c.problem.is_none(), "{} {}: {:?}", c.name, c.mode, c.problem);
         }
     }
 
     #[test]
-    fn reference_documents_round_trip_through_text_and_repro() {
-        for name in NAMES {
-            let r = reference(name);
-            assert_eq!(parse(&r.to_text()).unwrap(), r, "{name}: to_text");
-            assert_eq!(parse(&r.repro()).unwrap(), r, "{name}: repro");
-        }
-    }
-
-    #[test]
-    fn compiled_scenarios_match_the_legacy_grids_bit_for_bit() {
-        for name in NAMES {
-            for smoke in [false, true] {
-                let compiled = compiled(name, smoke);
-                let legacy = legacy_grids(name, smoke).expect("shipped name");
-                assert_eq!(
-                    compiled.grids.len(),
-                    legacy.len(),
-                    "{name} smoke={smoke}: grid count"
+    fn smoke_grids_carry_no_forced_cells() {
+        for exp in experiments() {
+            for grid in exp.grids(true) {
+                assert!(
+                    grid.cells.iter().all(|c| !c.force),
+                    "{}: smoke grid has a forced cell",
+                    exp.name()
                 );
-                for (cg, lg) in compiled.grids.iter().zip(&legacy) {
-                    assert_eq!(
-                        grid_digest(&cg.spec),
-                        grid_digest(lg),
-                        "{name} smoke={smoke}: grid '{}' digest (exp/master/opts/cells/keys)",
-                        lg.exp
-                    );
-                }
+                assert_eq!(grid.exp, exp.name());
             }
         }
     }
@@ -833,5 +621,95 @@ mod tests {
             names,
             ["table1", "thm1", "thm2", "faults", "stack", "sort", "stream", "bsf"]
         );
+    }
+
+    /// One-cell documents whose owning crate refuses the cell, each with a
+    /// fragment of the refusal.
+    const REFUSED: [(&str, &str); 4] = [
+        (
+            "cell bsf workers=0 units=256 tt=2 tw=4 ts=5 iters=3 params=w0 smoke",
+            "at least one worker",
+        ),
+        ("cell sort p=3 n=256 g=2 l=16 seed=1 params=p3 smoke", "p = 2^k"),
+        (
+            "cell route logp=12:16:1:2 h=2 scheme=network seed=7 params=p12 smoke",
+            "p = 2^k, got p = 12",
+        ),
+        (
+            "cell conformance sim=route_det p=8 h=4 seed=100 params=noplan smoke",
+            "needs plan=",
+        ),
+    ];
+
+    fn refused_doc(cell: &str) -> String {
+        format!("scenario refused; grid exp=refused master=1 domain=refused; {cell}")
+    }
+
+    fn tmp_store(tag: &str) -> (std::path::PathBuf, Store) {
+        let dir = std::env::temp_dir().join(format!("bvl-scn-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let code = bvl_lab::CodeFingerprint::from_parts("scn-test", "0");
+        let store = Store::open(&dir, code, bvl_lab::OnStale::Error).expect("store opens");
+        (dir, store)
+    }
+
+    fn runner_refuses(case: usize) {
+        let (cell, why) = REFUSED[case];
+        let (dir, store) = tmp_store(&format!("refuse{case}"));
+        let text = refused_doc(cell);
+        match Runner.run_scenario(&text, &store, &Registry::disabled(), true, None) {
+            Err(ScenarioError::Invalid(e)) => assert!(e.contains(why), "{cell}: {e}"),
+            other => panic!("{cell}: expected Invalid, got {:?}", other.map(|(n, _)| n)),
+        }
+        assert_eq!(store.len(), 0, "{cell}: a refused document ran a cell");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn runner_refuses_a_farm_without_workers() {
+        runner_refuses(0);
+    }
+
+    #[test]
+    fn runner_refuses_a_sort_on_three_processors() {
+        runner_refuses(1);
+    }
+
+    #[test]
+    fn runner_refuses_deterministic_routing_off_a_power_of_two() {
+        runner_refuses(2);
+    }
+
+    #[test]
+    fn runner_refuses_a_conformance_cell_without_a_plan() {
+        runner_refuses(3);
+    }
+
+    #[test]
+    fn live_post_run_answers_refused_documents_with_400() {
+        use std::io::{Read, Write};
+        let (dir, store) = tmp_store("http");
+        let service = bvl_lab::Service::new(store, Registry::enabled(1), experiments())
+            .with_scenario_runner(Box::new(Runner));
+        let server = bvl_lab::serve("127.0.0.1:0", std::sync::Arc::new(service), 2).expect("binds");
+        for (cell, why) in REFUSED {
+            let body = format!("{{\"scenario\":\"{}\",\"smoke\":true}}", refused_doc(cell));
+            let mut conn = std::net::TcpStream::connect(server.addr()).expect("connects");
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                .expect("timeout");
+            write!(
+                conn,
+                "POST /run HTTP/1.1\r\nHost: lab\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .expect("sends");
+            let mut response = String::new();
+            conn.read_to_string(&mut response).expect("answers");
+            assert!(response.starts_with("HTTP/1.1 400"), "{cell}: {response}");
+            assert!(response.contains(why), "{cell}: {response}");
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -221,13 +221,25 @@ fn sort_network(
     Ok((time, rounds.len(), blocks))
 }
 
+/// The deterministic router's precondition: `p` is a power of two (the
+/// sorting network's matching structure; experiments use power-of-two
+/// machines, as is conventional).
+pub fn deterministic_routable(p: usize) -> Result<(), ModelError> {
+    if p.is_power_of_two() {
+        Ok(())
+    } else {
+        Err(ModelError::InvalidParams(format!(
+            "the deterministic router needs p = 2^k, got p = {p}"
+        )))
+    }
+}
+
 /// Route an arbitrary (unknown-degree) h-relation deterministically on a
 /// stall-free LogP machine, returning the per-phase timing breakdown. The
 /// delivered messages are checked against the intended relation.
 ///
-/// Requires `p = params.p` to be a power of two (the sorting network's
-/// matching structure; experiments use power-of-two machines, as is
-/// conventional).
+/// Fails with [`ModelError::InvalidParams`] unless
+/// [`deterministic_routable`] admits `params.p`.
 ///
 /// Observability comes through `opts`: sorting rounds and the pipelined
 /// cycle phase are emitted as [`SpanKind::SortRound`] /
@@ -246,7 +258,7 @@ pub fn route_deterministic(
     let base = opts.clock_base;
     let p = params.p;
     assert_eq!(rel.p(), p);
-    assert!(p.is_power_of_two(), "deterministic router needs p = 2^k");
+    deterministic_routable(p)?;
     if rel.is_empty() {
         return Ok(RouteDetReport {
             total: Steps::ZERO,

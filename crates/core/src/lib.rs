@@ -33,7 +33,9 @@ pub mod stalling;
 
 pub use bsp_on_logp::cb::{run_cb, word_combine, CbReport, Combine, TreeShape};
 pub use bsp_on_logp::phase::route_offline;
-pub use bsp_on_logp::route_det::{route_deterministic, RouteDetReport, SortScheme};
+pub use bsp_on_logp::route_det::{
+    deterministic_routable, route_deterministic, RouteDetReport, SortScheme,
+};
 pub use bsp_on_logp::route_rand::{route_randomized, RouteRandReport};
 pub use bsp_on_logp::runner::{
     simulate_bsp_on_logp, RoutingStrategy, SuperstepBreakdown, Theorem2Config, Theorem2Report,

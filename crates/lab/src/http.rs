@@ -62,10 +62,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A runnable experiment the service can execute on demand: a named grid
-/// plus the per-cell measurement body. Implementations live next to the
-/// experiment binaries (`bvl_bench::labexp`) so the CLI, the HTTP service
-/// and the `exp_*` bins share one grid definition — and therefore one set
-/// of cache keys.
+/// plus the per-cell measurement body. The shipped implementations are
+/// compiled from the `scenarios/*.scn` documents (`bvl_bench::scn`), which
+/// the `exp_*` bins compile too, so the CLI, the HTTP service and the bins
+/// share one grid definition — and therefore one set of cache keys.
 pub trait Experiment: Send + Sync {
     /// Stable experiment name (the store grouping key and URL parameter).
     fn name(&self) -> &str;
@@ -74,7 +74,7 @@ pub trait Experiment: Send + Sync {
     /// master seeds; every grid's `exp` should equal [`Experiment::name`].
     fn grids(&self, smoke: bool) -> Vec<GridSpec>;
     /// Compute one cell.
-    fn run_cell(&self, cell: &CellSpec, job: Job) -> Vec<Vec<String>>;
+    fn cell_rows(&self, cell: &CellSpec, job: Job) -> Vec<Vec<String>>;
     /// Audit a completed grid's rows (`rows[i]` belongs to
     /// `grid.cells[i]`) against whatever invariants the experiment can
     /// prove — e.g. the BSS communication lower bounds. Each returned
@@ -221,7 +221,7 @@ impl Service {
                 grid.opts = grid.opts.clone().obs(t);
             }
             let rep = match run_grid(&grid, Some(&self.store), &self.registry, |cell, job| {
-                exp.run_cell(cell, job)
+                exp.cell_rows(cell, job)
             }) {
                 Ok(rep) => rep,
                 Err(e) => return Some(Err(e)),

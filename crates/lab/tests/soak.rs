@@ -38,7 +38,7 @@ impl Experiment for Square {
         vec![g]
     }
 
-    fn run_cell(&self, cell: &CellSpec, mut job: Job) -> Vec<Vec<String>> {
+    fn cell_rows(&self, cell: &CellSpec, mut job: Job) -> Vec<Vec<String>> {
         vec![vec![cell.params.clone(), job.rng.next_u64().to_string()]]
     }
 }

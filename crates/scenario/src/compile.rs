@@ -3,16 +3,16 @@
 //! `compile` turns a document into [`bvl_lab::GridSpec`]/[`bvl_lab::CellSpec`]
 //! stacks plus the per-cell [`Work`] items a runner dispatches on. The
 //! lowering is key-preserving by construction: domain, index, params, plan
-//! and the canonical `RunOptions` string land in the `CellSpec` exactly as
-//! the legacy code-defined grids built them, so content addresses — and
-//! therefore warm-cache hits — survive the refactor.
+//! and the canonical `RunOptions` string land in the `CellSpec` verbatim,
+//! so a document's content addresses — and therefore its warm-cache hits —
+//! are a function of its text alone.
 //!
 //! **Smoke semantics.** A grid with `only=full` is dropped from smoke
 //! compiles (and vice versa). Within a kept grid, a smoke compile keeps a
 //! cell iff it is marked `smoke` (all cells, for an `only=smoke` grid).
 //! Either way a cell's RNG-lane index is its position in the *full*
-//! declared list, so filtered grids keep their streams — the same rule the
-//! legacy `grids(smoke)` builders implemented with `retain`.
+//! declared list, so filtered grids keep their streams and share cache keys
+//! with the full run.
 
 use std::fmt;
 use std::sync::Arc;
@@ -135,10 +135,11 @@ pub fn compile(doc: &ScenarioDoc, smoke: bool) -> Result<CompiledScenario, Compi
 /// A content digest of a lowered grid: experiment, master seed and every
 /// cell's store key (which already folds in domain, index, params, plan and
 /// the canonical options) plus its force flag. Two grids with equal digests
-/// request byte-identical work from the scheduler — `lab validate` diffs
-/// this against the legacy code-defined grid.
+/// request byte-identical work from the scheduler. Cell keys are taken
+/// under one fixed [`CodeFingerprint`], not the running build's, so the
+/// digest names the grid alone and a committed golden survives API churn.
 pub fn grid_digest(spec: &GridSpec) -> String {
-    let code = CodeFingerprint::current();
+    let code = CodeFingerprint::from_parts("", "grid_digest");
     let master = spec.master.to_string();
     let mut owned: Vec<(String, String)> = vec![
         ("exp".into(), spec.exp.clone()),

@@ -2,11 +2,8 @@
 //!
 //! Every experiment in this repo is a *parameterized comparison*: a grid of
 //! (workload × machine params × routing × topology) cells driven through
-//! [`bvl_lab::run_grid`]. Until this crate, those grids were hand-written
-//! Rust in `bvl_bench::labexp`, so a new scenario required a rebuild and
-//! could not be submitted to the lab service as data.
-//!
-//! This crate makes scenarios data:
+//! [`bvl_lab::run_grid`]. This crate makes those grids data, so a new
+//! scenario needs no rebuild and can be submitted to the lab service:
 //!
 //! * [`doc`] — the [`ScenarioDoc`] document model: grids of typed cells
 //!   ([`Work`]) with per-grid `RunOptions` knobs ([`bvl_fault::FaultPlan`] included),
@@ -18,8 +15,8 @@
 //!   previously duplicated in `labexp`, with stable text tokens.
 //! * [`compile()`] — the lowering pass: a document becomes the exact
 //!   [`bvl_lab::GridSpec`]/[`bvl_lab::CellSpec`]/`RunOptions` stacks the
-//!   scheduler consumes today, so store keys — and therefore warm-cache
-//!   hits — survive the refactor bit for bit.
+//!   scheduler consumes; [`grid_digest`] names a lowered grid, and the
+//!   shipped documents' digests are committed as goldens.
 //! * [`bounds`] — the Bilardi–Scquizzato–Silvestri-style lower-bound
 //!   audit: proven communication lower bounds per cell kind, checked over
 //!   every completed grid. A measured cost below a proven bound is not a

@@ -10,7 +10,7 @@
 //!   audit verdict is a pure function of the rows (same call, same
 //!   violations — the gate can never flap).
 //!
-//! ≥256 cases per property (the shipped-document mutator runs 6 shipped
+//! ≥256 cases per property (the shipped-document mutator runs 9 shipped
 //! sources × mutations per case).
 
 use bvl_lab::run_grid;
@@ -19,13 +19,16 @@ use bvl_scenario::{audit_grid, compile, grid_digest, parse};
 use proptest::prelude::*;
 use proptest::test_runner::{ProptestConfig, TestRng};
 
-const SHIPPED: [&str; 6] = [
+const SHIPPED: [&str; 9] = [
     include_str!("../../../scenarios/table1.scn"),
     include_str!("../../../scenarios/thm1.scn"),
     include_str!("../../../scenarios/thm2.scn"),
     include_str!("../../../scenarios/faults.scn"),
     include_str!("../../../scenarios/stack.scn"),
     include_str!("../../../scenarios/scaling.scn"),
+    include_str!("../../../scenarios/sort.scn"),
+    include_str!("../../../scenarios/stream.scn"),
+    include_str!("../../../scenarios/bsf.scn"),
 ];
 
 fn pick(rng: &mut TestRng, n: u64) -> u64 {
@@ -143,7 +146,7 @@ proptest! {
         drive(&text);
     }
 
-    /// Near-miss mutants of the six shipped documents: the pipeline is
+    /// Near-miss mutants of the nine shipped documents: the pipeline is
     /// total on almost-valid input, and anything that still parses keeps
     /// every downstream invariant.
     #[test]

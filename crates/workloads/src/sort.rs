@@ -45,6 +45,31 @@ pub struct SortConfig {
     pub seed: u64,
 }
 
+impl SortConfig {
+    /// The study's preconditions, checked before any key is generated:
+    /// `p = 2^k >= 2` (the Theorem 2 leg routes through the power-of-two
+    /// deterministic sorting network), `n >= p` (nonempty blocks), and
+    /// valid BSP `(p, g, ℓ)` and LogP `(p, L = ℓ, o = 2, G = g)` machines.
+    pub fn check(&self) -> Result<(), ModelError> {
+        if self.p < 2 || !self.p.is_power_of_two() {
+            return Err(ModelError::InvalidParams(
+                "the sorting study needs p = 2^k >= 2 (the Theorem 2 leg routes \
+                 through the power-of-two deterministic sorting network)"
+                    .into(),
+            ));
+        }
+        if self.n < self.p as u64 {
+            return Err(ModelError::InvalidParams(format!(
+                "need n >= p for nonempty blocks (n = {}, p = {})",
+                self.n, self.p
+            )));
+        }
+        BspParams::new(self.p, self.g, self.l)?;
+        LogpParams::new(self.p, self.l, 2, self.g)?;
+        Ok(())
+    }
+}
+
 /// The native-BSP leg of one study cell.
 #[derive(Clone, Copy, Debug)]
 pub struct SortLeg {
@@ -151,19 +176,7 @@ pub fn ideal_sort_cost(cfg: &SortConfig) -> u64 {
 /// pseudo-streaming window); the cross-simulation leg takes its seed and
 /// fault decorator through [`RunOptions::subphase`] semantics.
 pub fn run_sort(cfg: &SortConfig, opts: &RunOptions) -> Result<SortStudy, ModelError> {
-    if cfg.p < 2 || !cfg.p.is_power_of_two() {
-        return Err(ModelError::InvalidParams(
-            "the sorting study needs p = 2^k >= 2 (the Theorem 2 leg routes \
-             through the power-of-two deterministic sorting network)"
-                .into(),
-        ));
-    }
-    if cfg.n < cfg.p as u64 {
-        return Err(ModelError::InvalidParams(format!(
-            "need n >= p for nonempty blocks (n = {}, p = {})",
-            cfg.n, cfg.p
-        )));
-    }
+    cfg.check()?;
     let params = BspParams::new(cfg.p, cfg.g, cfg.l)?;
     let keys = generate_keys(cfg);
     let mut want: Vec<Word> = keys.iter().flatten().copied().collect();

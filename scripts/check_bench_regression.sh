@@ -11,7 +11,10 @@
 # and on the random-cycle rows alike: every baseline `p` row must still be
 # present and complete under 60 s, and the small-`p` rows (p <= 10^4,
 # which are stable) must stay within 3x of baseline — large-`p` wall clock
-# swings 2-4x with host noise, so only completion is gated there.
+# swings 2-4x with host noise, so only completion is gated there. On a
+# host with two or more CPUs the 2-shard speedup of the random-cycle ring
+# at p = 10^6 must reach 1.3x (the bar the sharded engine has to clear to
+# stay); a one-CPU run records the leg as skipped.
 #
 # Gate 2 re-runs the `exp_faults` conformance matrix and compares it to
 # BENCH_faults.json *exactly*: verdicts, attempts, and clean/faulted step
@@ -129,6 +132,18 @@ if "scaling" in base:
         fail |= scaling_gate("scaling/random_cycle",
                              base["scaling"]["random_cycle"]["single_shard"],
                              cur_scaling.get("random_cycle", {}).get("single_shard", []))
+
+SHARD_FLOOR = 1.3
+if cur.get("host_cpus", 1) >= 2:
+    rows = cur.get("scaling", {}).get("shard_speedup", {}).get("rows", [])
+    two = next((r["speedup"] for r in rows if r["shards"] == 2), None)
+    ok = two is not None and two >= SHARD_FLOOR
+    fail |= not ok
+    shown = "missing" if two is None else f"{two:.2f}x"
+    print(f'{"PASS" if ok else "FAIL"} scaling/shards: 2-shard speedup {shown} '
+          f'(floor {SHARD_FLOOR:.1f}x)')
+else:
+    print("SKIP scaling/shards: one-CPU host, shard speedup not measurable")
 
 sys.exit(1 if fail else 0)
 PY
