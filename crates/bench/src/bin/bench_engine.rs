@@ -8,21 +8,25 @@
 //!   (the pre-overhaul engine, kept selectable exactly for this comparison)
 //!   vs `TimelineKind::Bucket` (the calendar queue). "before/after" on the
 //!   same binary, same workloads. The two sides' reps alternate (heap,
-//!   bucket, heap, …) and each side keeps its fastest, so a slow spell on
-//!   the host hits both rather than skewing the ratio.
+//!   bucket, heap, …) and the speedup is the median of the per-pair
+//!   ratios, so a slow spell on the host hits both sides of a pair rather
+//!   than skewing the ratio.
 //! * **payload** — construct+clone+read round-trips for an inline payload vs
 //!   a spilled one. The spill path is the old representation (every payload
 //!   heap-allocated a `Vec`), so this is the message-layer before/after.
+//!   Reps alternate too, and the ratio is again a median of pairs.
 //! * **sweep** — the `exp_table1`-style topology measurement job set run
 //!   through the sweep harness on a 1-thread rayon pool and on a pool sized
 //!   to the host. On a single-core host the parallel leg is skipped with a
 //!   notice (a parallel sweep cannot speed up there; pretending to measure
 //!   one reports noise as a slowdown).
 //! * **scaling** — the sharded engine's growth curve: single-shard wall
-//!   time of a fixed-rounds ring versus machine size `p` from 64 to 10⁶ by
-//!   decades, the same ring over a seeded random single cycle at 10⁴–10⁶
-//!   (every delivery then touches a far-away processor, so the rows show
-//!   what memory locality costs at large `p`), plus the 2-shard speedup
+//!   time (median of 5 runs up to p = 10⁴, of 3 above, the runs going
+//!   round-robin over the sizes) of a fixed-rounds ring versus machine
+//!   size `p` from 64 to 10⁶ by decades, the same ring
+//!   over a seeded random single cycle at 10⁴–10⁶ (every delivery then
+//!   touches a far-away processor, so the rows show what memory locality
+//!   costs at large `p`), plus the 2-shard speedup
 //!   on the random cycle at `p = 10⁶`, 1- and 2-shard reps interleaved,
 //!   fastest of 3 per side (skipped with a notice when the host has fewer
 //!   than two cores).
@@ -35,9 +39,11 @@
 //! ```
 //!
 //! With `--smoke` the binary instead runs each benched workload traced at
-//! shard counts 1/2/4, byte-compares the traces, prints one PASS/FAIL line
-//! per workload, and exits non-zero on any divergence — the CI determinism
-//! gate, cheap enough for every push.
+//! shard counts 1/2/4, and the random-cycle ring at a `p` that spans
+//! several of the engine's destination blocks at shard counts 1/2,
+//! byte-compares the traces, prints one PASS/FAIL line per workload, and
+//! exits non-zero on any divergence — the CI determinism gate, cheap
+//! enough for every push.
 //!
 //! If `CRITERION_JSONL` points at a `CRITERION_MINI_JSON` output file (the
 //! `event_queue` micro-bench writes one), its measurements are embedded
@@ -111,6 +117,28 @@ fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// `reps` interleaved timings of `a` and `b` (a, b, a, b, …): the fastest
+/// of each side, and the median of the per-pair ratios `a / b`. A slow
+/// spell on the host slows both halves of a pair, so the median ratio is
+/// steadier than the ratio of the two minima.
+fn paired(
+    reps: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios: Vec<f64> = (0..reps)
+        .map(|_| {
+            let (ta, tb) = (a(), b());
+            best_a = best_a.min(ta);
+            best_b = best_b.min(tb);
+            ta / tb
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (best_a, best_b, ratios[reps / 2])
+}
+
 fn run_machine(kind: TimelineKind, scripts: Vec<Script>, p: usize) -> u64 {
     let params = LogpParams::new(p, 16, 1, 2).unwrap();
     let config = LogpConfig {
@@ -126,6 +154,9 @@ type ScriptBuilder = Box<dyn Fn() -> Vec<Script>>;
 /// Timing reps per side of the heap-vs-bucket comparison.
 const TIMELINE_REPS: usize = 9;
 
+/// Timing reps per side of the spill-vs-inline comparison.
+const PAYLOAD_REPS: usize = 9;
+
 fn timeline_section(out: &mut Vec<String>) {
     let cases: Vec<(&str, usize, ScriptBuilder)> = vec![
         ("ring_x32", 64, Box::new(|| ring_scripts(64, 32))),
@@ -134,7 +165,7 @@ fn timeline_section(out: &mut Vec<String>) {
     ];
     for (name, p, build) in cases {
         // Equal work both sides; 10 machine runs per timing rep, reps
-        // alternating heap and bucket, best of each side.
+        // alternating heap and bucket.
         let rep_ms = |kind| {
             once_ms(|| {
                 for _ in 0..10 {
@@ -142,19 +173,18 @@ fn timeline_section(out: &mut Vec<String>) {
                 }
             })
         };
-        let (mut heap_ms, mut bucket_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..TIMELINE_REPS {
-            heap_ms = heap_ms.min(rep_ms(TimelineKind::BinaryHeap));
-            bucket_ms = bucket_ms.min(rep_ms(TimelineKind::Bucket));
-        }
+        let (heap_ms, bucket_ms, speedup) = paired(
+            TIMELINE_REPS,
+            || rep_ms(TimelineKind::BinaryHeap),
+            || rep_ms(TimelineKind::Bucket),
+        );
         eprintln!(
-            "timeline/{name}: heap {heap_ms:.2} ms, bucket {bucket_ms:.2} ms, speedup {:.2}x",
-            heap_ms / bucket_ms
+            "timeline/{name}: heap {heap_ms:.2} ms, bucket {bucket_ms:.2} ms, \
+             speedup {speedup:.2}x (median of {TIMELINE_REPS} pairs)"
         );
         out.push(format!(
             "    {{\"workload\": \"{name}\", \"p\": {p}, \"heap_ms\": {heap_ms:.3}, \
-             \"bucket_ms\": {bucket_ms:.3}, \"speedup\": {:.3}}}",
-            heap_ms / bucket_ms
+             \"bucket_ms\": {bucket_ms:.3}, \"speedup\": {speedup:.3}}}"
         ));
     }
 }
@@ -164,7 +194,7 @@ fn payload_section(out: &mut Vec<String>) {
     let spill = vec![7i64; INLINE_WORDS * 2];
     let iters = 2_000_000u64;
     let bench = |words: &[i64]| -> f64 {
-        let ms = time_ms(5, || {
+        let ms = once_ms(|| {
             let mut acc = 0i64;
             for _ in 0..iters {
                 let p = Payload::words(3, black_box(words));
@@ -175,17 +205,17 @@ fn payload_section(out: &mut Vec<String>) {
         });
         ms * 1e6 / iters as f64 // ns per construct+clone+read
     };
-    let inline_ns = bench(&inline);
-    let spill_ns = bench(&spill);
+    let (spill_ns, inline_ns, ratio) = paired(PAYLOAD_REPS, || bench(&spill), || bench(&inline));
     eprintln!(
-        "payload: inline {inline_ns:.1} ns/op, spill {spill_ns:.1} ns/op, ratio {:.2}x",
-        spill_ns / inline_ns
+        "payload: inline {inline_ns:.1} ns/op, spill {spill_ns:.1} ns/op, \
+         ratio {ratio:.2}x (median of {PAYLOAD_REPS} pairs)"
     );
     out.push(format!(
         "    {{\"case\": \"inline_{INLINE_WORDS}w\", \"ns_per_op\": {inline_ns:.1}}}"
     ));
     out.push(format!(
         "    {{\"case\": \"spill_{}w\", \"ns_per_op\": {spill_ns:.1}, \
+         \"ratio_to_inline\": {ratio:.3}, \
          \"note\": \"spill = pre-overhaul always-Vec representation\"}}",
         INLINE_WORDS * 2
     ));
@@ -334,24 +364,36 @@ fn neighbour_ring(p: usize) -> Vec<usize> {
     (0..p).map(|i| (i + 1) % p).collect()
 }
 
-/// Single-shard rows `{p, ms, ns_per_msg}` of the ring over `next(p)`.
+/// Single-shard rows `{p, ms, ns_per_msg}` of the ring over `next(p)`,
+/// each the median of several runs (5 up to p = 10⁴, 3 above). The runs go
+/// round-robin over the sizes, so a slow spell on the host falls on runs of
+/// several sizes instead of on every run of one. The flatness gate divides
+/// the p = 10⁶ row by the p = 10⁴ row, and would read such a spell as a
+/// change in flatness.
 fn scaling_rows(label: &str, ps: &[usize], next: fn(usize) -> Vec<usize>) -> String {
+    let reps = |p: usize| if p <= 10_000 { 5 } else { 3 };
+    let nexts: Vec<Vec<usize>> = ps.iter().map(|&p| next(p)).collect();
+    let mut runs: Vec<Vec<f64>> = vec![Vec::new(); ps.len()];
+    let rounds = ps.iter().map(|&p| reps(p)).max().unwrap_or(0);
+    for round in 0..rounds {
+        for (i, &p) in ps.iter().enumerate() {
+            if round < reps(p) {
+                runs[i].push(ring_time_ms(&nexts[i], 1));
+            }
+        }
+    }
     let mut rows = Vec::new();
-    for &p in ps {
-        let next = next(p);
-        // Small machines are fast enough to repeat; the big ones are long
-        // enough that a single run is already stable.
-        let reps = if p <= 10_000 { 3 } else { 1 };
-        let best = (0..reps)
-            .map(|_| ring_time_ms(&next, 1))
-            .fold(f64::INFINITY, f64::min);
-        let ns_per_msg = best * 1e6 / (p as f64 * f64::from(SCALING_ROUNDS));
+    for (&p, mut runs) in ps.iter().zip(runs) {
+        runs.sort_by(f64::total_cmp);
+        let median = runs[runs.len() / 2];
+        let ns_per_msg = median * 1e6 / (p as f64 * f64::from(SCALING_ROUNDS));
         eprintln!(
-            "scaling/ring_x{SCALING_ROUNDS}/{label}: p = {p}, {best:.1} ms, \
-             {ns_per_msg:.0} ns/msg (1 shard)"
+            "scaling/ring_x{SCALING_ROUNDS}/{label}: p = {p}, {median:.1} ms, \
+             {ns_per_msg:.0} ns/msg (1 shard, median of {})",
+            runs.len()
         );
         rows.push(format!(
-            "      {{\"p\": {p}, \"ms\": {best:.3}, \"ns_per_msg\": {ns_per_msg:.1}}}"
+            "      {{\"p\": {p}, \"ms\": {median:.3}, \"ns_per_msg\": {ns_per_msg:.1}}}"
         ));
     }
     rows.join(",\n")
@@ -403,16 +445,38 @@ fn scaling_section() -> String {
     )
 }
 
+/// The random-cycle ring of the scaling rows as scripts, for the smoke.
+fn random_ring_scripts(p: usize) -> Vec<Script> {
+    random_cycle(p)
+        .into_iter()
+        .enumerate()
+        .map(|(i, next)| {
+            Script::new((0..SCALING_ROUNDS).flat_map(|r| {
+                [
+                    Op::Send {
+                        dst: ProcId(next as u32),
+                        payload: Payload::word(r, i as i64),
+                    },
+                    Op::Recv,
+                ]
+            }))
+        })
+        .collect()
+}
+
 /// `--smoke`: the CI determinism gate. Each benched workload runs traced at
-/// shard counts 1, 2, and 4; the traces must be byte-identical.
+/// shard counts 1, 2, and 4, and the random-cycle ring at a `p` spanning
+/// several destination blocks (2¹² processors each) at 1 and 2; the traces
+/// must be byte-identical.
 fn smoke() -> i32 {
-    let cases: Vec<(&str, usize, ScriptBuilder)> = vec![
-        ("ring_x32", 64, Box::new(|| ring_scripts(64, 32))),
-        ("hot_spot_stalling", 64, Box::new(|| hot_spot_scripts(64, 16))),
-        ("all_to_all", 64, Box::new(|| alltoall_scripts(64))),
+    let cases: Vec<(&str, usize, ScriptBuilder, &[usize])> = vec![
+        ("ring_x32", 64, Box::new(|| ring_scripts(64, 32)), &[2, 4]),
+        ("hot_spot_stalling", 64, Box::new(|| hot_spot_scripts(64, 16)), &[2, 4]),
+        ("all_to_all", 64, Box::new(|| alltoall_scripts(64)), &[2, 4]),
+        ("random_cycle_ring_x4", 20_000, Box::new(|| random_ring_scripts(20_000)), &[2]),
     ];
     let mut failed = false;
-    for (name, p, build) in cases {
+    for (name, p, build, shard_counts) in cases {
         let run = |shards: usize| {
             let params = LogpParams::new(p, 16, 1, 2).unwrap();
             let config = LogpConfig {
@@ -424,18 +488,19 @@ fn smoke() -> i32 {
             (report.makespan, format!("{:?}", m.trace().events()))
         };
         let (makespan, base) = run(1);
-        let ok = [2usize, 4].iter().all(|&s| {
+        let ok = shard_counts.iter().all(|&s| {
             let (mk, trace) = run(s);
             mk == makespan && trace == base
         });
-        println!(
-            "smoke/{name}: {}",
-            if ok {
-                "PASS"
-            } else {
-                "FAIL (trace diverged across shard counts 1/2/4)"
-            }
-        );
+        if ok {
+            println!("smoke/{name}: PASS");
+        } else {
+            let counts: Vec<String> = shard_counts.iter().map(usize::to_string).collect();
+            println!(
+                "smoke/{name}: FAIL (trace diverged across shard counts 1/{})",
+                counts.join("/")
+            );
+        }
         failed |= !ok;
     }
     if failed {

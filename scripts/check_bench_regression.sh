@@ -5,8 +5,9 @@
 # Absolute wall-clock is environment-dependent (the baseline records its
 # own host), so the gate is on *same-host relative* numbers: the
 # bucket-timeline speedup over the binary-heap timeline per workload, and
-# the inline-vs-spill payload ratio. Each must stay within 5% of the
-# committed value (lower bound only — getting faster is not a regression).
+# the inline-vs-spill payload ratio, each the median of interleaved
+# per-rep pair ratios. Each must stay within 5% of the committed value
+# (lower bound only — getting faster is not a regression).
 # The `scaling` block is gated structurally, on the neighbour-ring rows
 # and on the random-cycle rows alike: every baseline `p` row must still be
 # present and complete under 60 s, and the small-`p` rows (p <= 10^4,
@@ -14,7 +15,9 @@
 # swings 2-4x with host noise, so only completion is gated there. On a
 # host with two or more CPUs the 2-shard speedup of the random-cycle ring
 # at p = 10^6 must reach 1.3x (the bar the sharded engine has to clear to
-# stay); a one-CPU run records the leg as skipped.
+# stay); a one-CPU run records the leg as skipped. The flatness gate bounds
+# the cost of locality on both rings: ns/msg at p = 10^6 must be at most
+# 2x ns/msg at p = 10^4, in the same run.
 #
 # Gate 2 re-runs the `exp_faults` conformance matrix and compares it to
 # BENCH_faults.json *exactly*: verdicts, attempts, and clean/faulted step
@@ -91,8 +94,8 @@ for row in cur["timeline"]:
           f'(floor {limit:.2f}x)')
 
 def payload_ratio(doc):
-    ns = {row["case"]: row["ns_per_op"] for row in doc["payload"]}
-    return ns["spill_12w"] / ns["inline_6w"]
+    rows = {row["case"]: row for row in doc["payload"]}
+    return rows["spill_12w"]["ratio_to_inline"]
 
 b_ratio, c_ratio = payload_ratio(base), payload_ratio(cur)
 limit = b_ratio * TOL
@@ -132,6 +135,25 @@ if "scaling" in base:
         fail |= scaling_gate("scaling/random_cycle",
                              base["scaling"]["random_cycle"]["single_shard"],
                              cur_scaling.get("random_cycle", {}).get("single_shard", []))
+
+FLAT_LIMIT, FLAT_SMALL, FLAT_BIG = 2.0, 10_000, 1_000_000
+
+def flatness_gate(label, rows):
+    ns = {row["p"]: row["ns_per_msg"] for row in rows}
+    if FLAT_SMALL not in ns or FLAT_BIG not in ns:
+        print(f"FAIL {label}/flatness: rows p={FLAT_SMALL} and p={FLAT_BIG} are required")
+        return True
+    growth = ns[FLAT_BIG] / ns[FLAT_SMALL]
+    ok = growth <= FLAT_LIMIT
+    print(f'{"PASS" if ok else "FAIL"} {label}/flatness: {ns[FLAT_BIG]:.0f} ns/msg at '
+          f'p={FLAT_BIG} vs {ns[FLAT_SMALL]:.0f} at p={FLAT_SMALL}, {growth:.2f}x '
+          f'(limit {FLAT_LIMIT:.1f}x)')
+    return not ok
+
+cur_scaling = cur.get("scaling", {})
+fail |= flatness_gate("scaling", cur_scaling.get("single_shard", []))
+fail |= flatness_gate("scaling/random_cycle",
+                      cur_scaling.get("random_cycle", {}).get("single_shard", []))
 
 SHARD_FLOOR = 1.3
 if cur.get("host_cpus", 1) >= 2:

@@ -8,9 +8,14 @@
 //! SUMMARY fields and per-processor statistics. The constants were taken
 //! from the engine before its per-message state moved into a slab of
 //! handles (the sleepy ring's from the engine before that slab handed out
-//! slots in creation order and the timeline recycled slot buffers), and
-//! every run must reproduce them at 1 and 4 shards under both timeline
-//! implementations.
+//! slots in creation order and the timeline recycled slot buffers; the
+//! `*_P20000` cases' from the engine before each worker split its
+//! processors into cache-sized destination blocks), and every run must
+//! reproduce them at 1 and 4 shards under both timeline implementations.
+//!
+//! The `p = 20 000` cases span five destination blocks of 2¹² processors
+//! (three if blocks were twice that), so they pin the blocked engine
+//! against the unblocked one.
 
 use bsp_vs_logp::exec::RunOptions;
 use bsp_vs_logp::fault::FaultPlan;
@@ -19,7 +24,7 @@ use bsp_vs_logp::logp::{
     TimelineKind,
 };
 use bsp_vs_logp::model::rngutil::SeedStream;
-use bsp_vs_logp::model::{Payload, ProcId, Steps};
+use bsp_vs_logp::model::{ModelError, Payload, ProcId, Steps};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -149,6 +154,20 @@ fn all_to_all(p: usize) -> Vec<Script> {
         .collect()
 }
 
+/// Several §2.2 hot spots at once: each `(dst, srcs)` pair has every
+/// source send one message to `dst` at time 0, so all submissions meet at
+/// `t = 1`. Everyone else idles.
+fn hot_spots(p: usize, spots: &[(usize, std::ops::Range<usize>)]) -> Vec<Script> {
+    let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
+    for (dst, srcs) in spots {
+        for src in srcs.clone() {
+            ops[src].push(send(*dst, 0, src));
+            ops[*dst].push(Op::Recv);
+        }
+    }
+    ops.into_iter().map(Script::new).collect()
+}
+
 /// Assert one workload's digest at 1 and 4 shards under both timelines.
 fn check(
     name: &str,
@@ -185,6 +204,15 @@ const HOT_SPOT_RANDOM: u64 = 0x2f53_67ea_012a_f62c;
 const UNIFORM_ALL_TO_ALL: u64 = 0x1495_5f80_52b0_7cba;
 const FAULTED_HOT_SPOT: u64 = 0xf2b6_0033_6202_09b9;
 const SLEEPY_RING_X4: u64 = 0x6539_05d4_561d_7214;
+const RING_X4_P20000: u64 = 0x60a6_a325_7b06_f15c;
+const SLEEPY_RING_X4_P20000: u64 = 0x21df_3190_210a_2e19;
+const FAULTED_HOT_SPOTS_P20000: u64 = 0x4599_d6c0_b6be_3108;
+/// The error every run of the multi-block `forbid_stalling` hot spots must
+/// stop with.
+const STALL_ERROR_P20000: &str = "StallDetected { proc: P102, at: 1 }";
+
+/// Machine size of the multi-block cases.
+const BIG_P: usize = 20_000;
 
 #[test]
 fn random_cycle_ring_x4_matches_golden() {
@@ -273,5 +301,81 @@ fn sleepy_random_cycle_ring_x4_matches_golden() {
         LogpConfig::default(),
         RunOptions::new(),
         sleepy_ring_x4(p, 802, 7, 5_000),
+    );
+}
+
+#[test]
+fn random_cycle_ring_x4_across_blocks_matches_golden() {
+    check(
+        "ring_x4/p20000",
+        RING_X4_P20000,
+        LogpParams::new(BIG_P, 16, 1, 2).unwrap(),
+        LogpConfig::default(),
+        RunOptions::new(),
+        random_ring_x4(BIG_P, 803),
+    );
+}
+
+/// The sleeper sits in the first block and its sender in a late one, so
+/// its messages are written into the sleeper's block by another block's
+/// processor, and stay there while that block's slab churns.
+#[test]
+fn sleepy_ring_x4_across_blocks_matches_golden() {
+    let seed = 804;
+    let next = random_cycle(BIG_P, seed);
+    let sender = (0..BIG_P).rev().find(|&i| next[i] < 1_024).unwrap();
+    let sleeper = next[sender];
+    assert!(sender >= 16_384, "sender {sender} shares a block with the sleeper");
+    check(
+        "sleepy_ring_x4/p20000",
+        SLEEPY_RING_X4_P20000,
+        LogpParams::new(BIG_P, 16, 1, 2).unwrap(),
+        LogpConfig::default(),
+        RunOptions::new(),
+        sleepy_ring_x4(BIG_P, seed, sleeper, 5_000),
+    );
+}
+
+/// Two hot spots stall at the same instant under `forbid_stalling`. The
+/// one in the first block stalls a high source; the one in a late block
+/// stalls a low source. The run must stop with the lowest stalled source,
+/// whichever block or shard detects it first.
+#[test]
+fn forbid_stalling_hot_spots_across_blocks_fail_with_golden_error() {
+    let params = LogpParams::new(BIG_P, 4, 1, 2).unwrap();
+    let scripts = hot_spots(BIG_P, &[(0, 15_000..15_006), (16_400, 100..106)]);
+    for timeline in [TimelineKind::Bucket, TimelineKind::BinaryHeap] {
+        for shards in [1usize, 4] {
+            let config = LogpConfig {
+                timeline,
+                ..LogpConfig::stall_free()
+            };
+            let mut m = LogpMachine::with_config(params, config, scripts.clone());
+            m.instrument(&RunOptions::new().shards(shards));
+            let err: ModelError = m.run().expect_err("both hot spots stall");
+            assert_eq!(
+                format!("{err:?}"),
+                STALL_ERROR_P20000,
+                "{timeline:?}, {shards} shards"
+            );
+        }
+    }
+}
+
+/// The faulted hot spot's duplicates and `Wake` re-polls, with the two
+/// destinations in different blocks and every sender in a third.
+#[test]
+fn faulted_hot_spots_across_blocks_match_golden() {
+    let plan = FaultPlan::new(3)
+        .duplicate(3)
+        .capacity_squeeze(1)
+        .stall_burst(11, 3);
+    check(
+        "faulted/hot_spots/p20000",
+        FAULTED_HOT_SPOTS_P20000,
+        LogpParams::new(BIG_P, 12, 1, 3).unwrap(),
+        LogpConfig::default(),
+        RunOptions::new().faults(Arc::new(plan)),
+        hot_spots(BIG_P, &[(0, 15_000..15_012), (8_200, 12_500..12_512)]),
     );
 }
